@@ -17,6 +17,11 @@
 //! compile. The 0% subject is the incremental-recompilation contract:
 //! byte-identical output with ≥ 90% of per-function work reused.
 //!
+//! The synthetic memoir→lir subject runs at 120 and at 240 functions,
+//! and the report's `scaling` section compares their serial compile time
+//! per input instruction (the minimum of three repetitions each): a
+//! module twice as large must compile in at most 2.3× the time.
+//!
 //! ```text
 //! compile_time [--out FILE] [--inc-out FILE] [--check]
 //! ```
@@ -25,13 +30,23 @@
 //! byte-identical IR between serial and sharded runs, strictly fewer
 //! units cloned by CoW than by the full-clone baseline, and — for the
 //! incremental section — ≥ 90% cache reuse and byte-identical output on
-//! the unchanged-module recompile.
+//! the unchanged-module recompile; and that the 240-function subject's
+//! time per instruction is at most [`SCALING_BOUND`] times the
+//! 120-function subject's.
 
 use bench::report::{json_escape, write_report, BenchArgs};
 use bench::{compilation_subjects, o3_all};
 use memoir_opt::lowering::{compile_lowered_with, LowerConfig, LoweredPipeline};
 use memoir_opt::pipeline::{compile_spec_with, default_spec};
 use passman::{FaultPolicy, PassOptions, SnapshotStats};
+
+/// The largest allowed ratio of per-instruction compile time between the
+/// 240- and 120-function synthetic subjects: twice the module in at most
+/// 2.3× the time.
+const SCALING_BOUND: f64 = 1.15;
+
+/// Function counts of the two synthetic memoir→lir scaling subjects.
+const SCALING_FUNCS: [usize; 2] = [120, 240];
 
 struct ModeResult {
     mode: &'static str,
@@ -308,17 +323,30 @@ fn main() {
         ],
     ));
     // The full MEMOIR → lower → lir pipeline as one profiled run: the
-    // verified lowering stage appears as the `lower` row.
-    let synth_mir = workloads::synth_ir::build_synth_ir(120, 2024);
-    subjects.push((
-        "synthetic (memoir→lir)".to_string(),
-        "lowered",
-        vec![
-            run_lowered(&synth_mir, "serial", 1, true),
-            run_lowered(&synth_mir, "threads4", 4, true),
-            run_lowered(&synth_mir, "full-clone", 1, false),
-        ],
-    ));
+    // verified lowering stage appears as the `lower` row. Two sizes, for
+    // the scaling gate.
+    let scaling_mods: Vec<memoir_ir::Module> = SCALING_FUNCS
+        .iter()
+        .map(|&funcs| workloads::synth_ir::build_synth_ir(funcs, 2024))
+        .collect();
+    for (m, funcs) in scaling_mods.iter().zip(SCALING_FUNCS) {
+        let name = match funcs {
+            120 => "synthetic (memoir→lir)".to_string(),
+            n => format!("synthetic {n} (memoir→lir)"),
+        };
+        subjects.push((
+            name,
+            "lowered",
+            vec![
+                run_lowered(m, "serial", 1, true),
+                run_lowered(m, "threads4", 4, true),
+                run_lowered(m, "full-clone", 1, false),
+            ],
+        ));
+    }
+    let scaling = scaling_points(&scaling_mods);
+    let synth_mir = scaling_mods[0].clone();
+    let scaling_ratio = scaling[1].ns_per_inst() / scaling[0].ns_per_inst();
 
     let subject_json: Vec<String> = subjects
         .iter()
@@ -332,9 +360,26 @@ fn main() {
             )
         })
         .collect();
+    let scaling_json: Vec<String> = scaling
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"funcs\": {}, \"insts\": {}, \"ms_min3\": {:.6}, \"ns_per_inst\": {:.6}}}",
+                p.funcs,
+                p.insts,
+                p.ms,
+                p.ns_per_inst()
+            )
+        })
+        .collect();
     let json = format!(
-        "{{\n  \"bench\": \"compile_time\",\n  \"subjects\": [\n{}\n  ]\n}}\n",
-        subject_json.join(",\n")
+        "{{\n  \"bench\": \"compile_time\",\n  \"subjects\": [\n{}\n  ],\n  \
+         \"scaling\": {{\"subject\": \"synthetic (memoir→lir)\", \"mode\": \"serial\", \
+         \"points\": [{}], \"ratio\": {:.6}, \"bound\": {}}}\n}}\n",
+        subject_json.join(",\n"),
+        scaling_json.join(", "),
+        scaling_ratio,
+        SCALING_BOUND
     );
     write_report(&out_path, &json, &format!("{} subjects", subjects.len()));
 
@@ -354,6 +399,17 @@ fn main() {
             );
         }
     }
+
+    for p in &scaling {
+        println!(
+            "scaling {:>3} funcs  {:>6} insts  {:8.3}ms (min of 3)  {:8.1} ns/inst",
+            p.funcs,
+            p.insts,
+            p.ms,
+            p.ns_per_inst()
+        );
+    }
+    println!("scaling ratio {scaling_ratio:.3} (bound {SCALING_BOUND})");
 
     // Warm-cache/incremental subjects: cold compile populates a shared
     // compile cache; the warm recompile (0%, 10%, 50% of functions
@@ -449,7 +505,68 @@ fn main() {
              full-clone baseline ({cow_units} vs {full_units})"
         );
         println!("check OK: cow cloned {cow_units} units vs full-clone {full_units}");
+
+        assert!(
+            scaling_ratio <= SCALING_BOUND,
+            "a {}-function module compiles at {scaling_ratio:.3}x the per-instruction \
+             time of a {}-function one (bound {SCALING_BOUND}): compile time is \
+             superlinear in module size",
+            SCALING_FUNCS[1],
+            SCALING_FUNCS[0]
+        );
+        println!("check OK: scaling ratio {scaling_ratio:.3} <= {SCALING_BOUND}");
     }
+}
+
+/// Serial compile time of one scaling subject.
+struct ScalingPoint {
+    funcs: usize,
+    /// Instructions in the input module.
+    insts: usize,
+    /// Minimum total time over three serial compiles.
+    ms: f64,
+}
+
+impl ScalingPoint {
+    fn ns_per_inst(&self) -> f64 {
+        self.ms * 1e6 / self.insts.max(1) as f64
+    }
+}
+
+/// Times three serial compiles of each module through the shipped
+/// lowered pipeline configuration (the one `memoird` and the benchmark
+/// harness run: no fault-policy snapshots, whose whole-module clones
+/// would measure cache capacity rather than the compiler), alternating
+/// between the modules so drift on a shared machine hits both alike, and
+/// keeps each module's fastest — its least-disturbed measurement.
+fn scaling_points(mods: &[memoir_ir::Module]) -> Vec<ScalingPoint> {
+    let pipeline = LoweredPipeline {
+        memoir: default_spec(o3_all()),
+        lower_opts: PassOptions::none(),
+        lir: lir::passes::default_spec(),
+    };
+    let cfg = LowerConfig {
+        threads: 1,
+        ..LowerConfig::default()
+    };
+    let mut best = vec![f64::INFINITY; mods.len()];
+    for _ in 0..3 {
+        for (m, b) in mods.iter().zip(&mut best) {
+            let mut m = m.clone();
+            let t0 = std::time::Instant::now();
+            compile_lowered_with(&mut m, &pipeline, &cfg).expect("pipeline runs clean");
+            *b = b.min(t0.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    mods.iter()
+        .zip(SCALING_FUNCS)
+        .zip(best)
+        .map(|((m, funcs), ms)| ScalingPoint {
+            funcs,
+            insts: m.inst_count(),
+            ms,
+        })
+        .collect()
 }
 
 /// The pass-name sequence (timings themselves legitimately differ

@@ -13,16 +13,16 @@
 //! not merely structurally isomorphic.
 //!
 //! Callee *bodies* are not hashed locally (their slot ids are, since
-//! cached pass outputs embed them); instead the callgraph is condensed
-//! into SCCs (leaves-first) and each function's final fingerprint folds
-//! in the fingerprints of its callees in call-site order — intra-SCC
-//! (recursive) calls as a marker plus a commutative SCC summary, so the
-//! result is independent of member enumeration order. Editing any
+//! cached pass outputs embed them); instead
+//! `passman::fingerprint::propagate` condenses the callgraph into SCCs
+//! (leaves-first) and folds each function's callee fingerprints into its
+//! final fingerprint in call-site order (lir has no context word: its
+//! ops carry no type or extern ids). Editing any
 //! (transitively) called function therefore changes the fingerprints of
 //! all its dependents.
 
 use crate::ir::{Blk, Fun, Function, Module, Op, Val};
-use passman::fingerprint::{sccs, Fingerprint, StableHasher};
+use passman::fingerprint::{Fingerprint, LocalFingerprint, StableHasher};
 use std::collections::HashMap;
 
 /// Per-op tags (stable, never reordered: they are part of the hash).
@@ -42,7 +42,6 @@ const T_JMP: u64 = 13;
 const T_BR: u64 = 14;
 const T_RET: u64 = 15;
 const BLOCK_MARK: u64 = 0x424c_4f43_4b00_0000; // "BLOCK"
-const RECURSIVE_CALLEE: u64 = 0x5245_4355_5253_4500; // "RECURSE"
 
 /// Canonical block order: reverse postorder from the entry, then any
 /// unreachable blocks in id order.
@@ -80,7 +79,7 @@ fn block_order(f: &Function) -> Vec<Blk> {
 /// Hashes one function's structure (ops, immediates, control flow) with
 /// canonical value/block numbering, and collects its callee list in
 /// call-site order.
-fn local_structure(f: &Function) -> (u64, Vec<usize>) {
+pub(crate) fn local_structure(f: &Function) -> LocalFingerprint {
     let order = block_order(f);
     let mut bnum: HashMap<Blk, u64> = HashMap::new();
     for (i, &b) in order.iter().enumerate() {
@@ -254,55 +253,16 @@ fn local_structure(f: &Function) -> (u64, Vec<usize>) {
             }
         }
     }
-    (h.finish(), callees)
+    LocalFingerprint {
+        hash: h.finish(),
+        callees,
+    }
 }
 
 /// Fingerprints every function of a module, with callee propagation
 /// across the condensed callgraph (see the module docs).
 pub fn module_fingerprints(m: &Module) -> Vec<(Fun, Fingerprint)> {
-    let n = m.funcs.len();
-    let mut locals: Vec<u64> = Vec::with_capacity(n);
-    let mut callees: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for f in &m.funcs {
-        let (h, cs) = local_structure(f);
-        locals.push(h);
-        callees.push(cs);
-    }
-    let comps = sccs(n, &|v| callees[v].clone());
-    let mut comp_of = vec![usize::MAX; n];
-    for (ci, comp) in comps.iter().enumerate() {
-        for &v in comp {
-            comp_of[v] = ci;
-        }
-    }
-    let mut out = vec![Fingerprint(0); n];
-    for (ci, comp) in comps.iter().enumerate() {
-        // Member hash: local structure + callee fingerprints in
-        // call-site order (leaves-first, so cross-SCC callees are final;
-        // intra-SCC callees become a marker, resolved by the summary).
-        let members: Vec<Fingerprint> = comp
-            .iter()
-            .map(|&v| {
-                let mut h = StableHasher::new();
-                h.write_u64(locals[v]);
-                for &c in &callees[v] {
-                    if c < n && comp_of[c] == ci {
-                        h.write_u64(RECURSIVE_CALLEE);
-                    } else if c < n {
-                        h.write_u64(out[c].0);
-                    } else {
-                        h.write_u64(u64::MAX); // dangling callee
-                    }
-                }
-                h.fingerprint()
-            })
-            .collect();
-        let summary = Fingerprint::combine_commutative(members.iter().copied());
-        for (&v, member) in comp.iter().zip(members) {
-            out[v] = member.combine(summary);
-        }
-    }
-    (0..n).map(|i| (Fun(i as u32), out[i])).collect()
+    passman::IrUnit::fingerprints(m)
 }
 
 #[cfg(test)]
@@ -418,5 +378,53 @@ mod tests {
         m.add(f1);
         let fps = module_fingerprints(&m);
         assert_ne!(fps[0].1, fps[1].1);
+    }
+
+    /// A leaf, its caller, and a mutually recursive pair.
+    fn golden_module() -> Module {
+        let mut m = Module::default();
+        let g = m.add(leaf(7));
+        let mut c = Function::new("caller", 1, 1);
+        let r = c.push1(
+            c.entry,
+            Op::Call {
+                func: g,
+                args: vec![c.param(0)],
+            },
+        );
+        c.push0(c.entry, Op::Ret(vec![r]));
+        m.add(c);
+        for (name, other) in [("f2", Fun(3)), ("f3", Fun(2))] {
+            let mut f = Function::new(name, 1, 1);
+            let r = f.push1(
+                f.entry,
+                Op::Call {
+                    func: other,
+                    args: vec![f.param(0)],
+                },
+            );
+            f.push0(f.entry, Op::Ret(vec![r]));
+            m.add(f);
+        }
+        m
+    }
+
+    const GOLDEN: [u64; 4] = [
+        0x7e6b_8e02_c776_8535,
+        0xf038_015d_c169_cc0e,
+        0x21d6_49ad_5e7d_e328,
+        0xaaeb_9ea5_0817_e70b,
+    ];
+
+    /// Pins the digests themselves (they are cross-job cache keys): the
+    /// values below were produced before propagation moved into
+    /// `passman::fingerprint`, and must never drift silently.
+    #[test]
+    fn golden_values_are_pinned() {
+        let fps: Vec<u64> = module_fingerprints(&golden_module())
+            .into_iter()
+            .map(|(_, fp)| fp.0)
+            .collect();
+        assert_eq!(fps, GOLDEN);
     }
 }

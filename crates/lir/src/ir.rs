@@ -478,8 +478,8 @@ impl passman::IrUnit for Module {
         true
     }
 
-    fn fingerprints(&self) -> Vec<(Fun, passman::Fingerprint)> {
-        crate::fingerprint::module_fingerprints(self)
+    fn local_fingerprint(&self, f: Fun) -> passman::LocalFingerprint {
+        crate::fingerprint::local_structure(&self.funcs[f.0 as usize])
     }
 }
 

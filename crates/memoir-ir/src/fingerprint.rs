@@ -23,12 +23,11 @@
 //! transformations (field elision, dead-field elimination) require.
 //!
 //! Callee *bodies* are not hashed locally (their `FuncId` slots are,
-//! since cached pass outputs embed them); instead the callgraph is
-//! condensed into SCCs (leaves-first) and each function's final
-//! fingerprint folds in the fingerprints of its callees in call-site
-//! order — intra-SCC (recursive) calls as a marker plus a commutative
-//! SCC summary, so the result is independent of member enumeration
-//! order. A pass that edits only callee `g` therefore changes the
+//! since cached pass outputs embed them); instead
+//! `passman::fingerprint::propagate` condenses the callgraph into SCCs
+//! (leaves-first) and folds each function's callee fingerprints into its
+//! final fingerprint in call-site order, with the table hash as the
+//! context word. A pass that edits only callee `g` therefore changes the
 //! fingerprint of every (transitive) caller of `g`, even when the pass
 //! reported `Mutation::Funcs([g])` — which is what lets the analysis
 //! cache drop the callers' callgraph-dependent results.
@@ -37,7 +36,7 @@ use crate::function::{Function, ValueDef};
 use crate::ids::{BlockId, FuncId, ValueId};
 use crate::inst::{Callee, InstKind};
 use crate::module::Module;
-use passman::fingerprint::{sccs, Fingerprint, StableHasher};
+use passman::fingerprint::{Fingerprint, LocalFingerprint, StableHasher};
 use std::collections::HashMap;
 
 /// Marker written to the op stream in place of a constant operand (the
@@ -47,7 +46,6 @@ const CONST_MARK: u32 = u32::MAX - 1;
 /// IR mid-fuzz); keeps the walk total and deterministic.
 const DANGLING_MARK: u32 = u32::MAX;
 const BLOCK_MARK: u64 = 0x424c_4f43_4b00_0000; // "BLOCK"
-const RECURSIVE_CALLEE: u64 = 0x5245_4355_5253_4500; // "RECURSE"
 
 /// Canonical block order: reverse postorder from the entry, then any
 /// unreachable blocks in id order.
@@ -68,7 +66,7 @@ fn block_order(f: &Function) -> Vec<BlockId> {
 /// Hashes the module-wide context every function's meaning depends on:
 /// the type table (interned types, object definitions, computed layouts)
 /// and the extern declarations. The module name is excluded.
-fn table_hash(m: &Module) -> u64 {
+pub(crate) fn table_hash(m: &Module) -> u64 {
     let mut h = StableHasher::new();
     let types: Vec<_> = m.types.entries().collect();
     h.write_usize(types.len());
@@ -113,7 +111,7 @@ fn table_hash(m: &Module) -> u64 {
 
 /// Hashes one function's structure with canonical value/block numbering,
 /// and collects its in-module callee list in call-site order.
-fn local_structure(f: &Function) -> (u64, Vec<usize>) {
+pub(crate) fn local_structure(f: &Function) -> LocalFingerprint {
     let order = block_order(f);
     let mut blk_pos = vec![DANGLING_MARK; f.blocks.len()];
     for (i, &b) in order.iter().enumerate() {
@@ -208,58 +206,16 @@ fn local_structure(f: &Function) -> (u64, Vec<usize>) {
             h.write_str(&format!("{kind:?}"));
         }
     }
-    (h.finish(), callees)
+    LocalFingerprint {
+        hash: h.finish(),
+        callees,
+    }
 }
 
 /// Fingerprints every function of a module, with callee propagation
 /// across the condensed callgraph (see the module docs).
 pub fn module_fingerprints(m: &Module) -> Vec<(FuncId, Fingerprint)> {
-    let n = m.funcs.len();
-    let table = table_hash(m);
-    let mut locals: Vec<u64> = Vec::with_capacity(n);
-    let mut callees: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for (_, f) in m.funcs.iter() {
-        let (h, cs) = local_structure(f);
-        locals.push(h);
-        callees.push(cs);
-    }
-    let comps = sccs(n, &|v| callees[v].clone());
-    let mut comp_of = vec![usize::MAX; n];
-    for (ci, comp) in comps.iter().enumerate() {
-        for &v in comp {
-            comp_of[v] = ci;
-        }
-    }
-    let mut out = vec![Fingerprint(0); n];
-    for (ci, comp) in comps.iter().enumerate() {
-        // Member hash: module context + local structure + callee
-        // fingerprints in call-site order (leaves-first, so cross-SCC
-        // callees are final; intra-SCC callees become a marker, resolved
-        // by the commutative summary).
-        let members: Vec<Fingerprint> = comp
-            .iter()
-            .map(|&v| {
-                let mut h = StableHasher::new();
-                h.write_u64(table);
-                h.write_u64(locals[v]);
-                for &c in &callees[v] {
-                    if c < n && comp_of[c] == ci {
-                        h.write_u64(RECURSIVE_CALLEE);
-                    } else if c < n {
-                        h.write_u64(out[c].0);
-                    } else {
-                        h.write_u64(u64::MAX); // dangling callee
-                    }
-                }
-                h.fingerprint()
-            })
-            .collect();
-        let summary = Fingerprint::combine_commutative(members.iter().copied());
-        for (&v, member) in comp.iter().zip(members) {
-            out[v] = member.combine(summary);
-        }
-    }
-    m.funcs.ids().zip(out).collect()
+    passman::IrUnit::fingerprints(m)
 }
 
 #[cfg(test)]
@@ -381,5 +337,43 @@ mod tests {
             fp_of(&module_fingerprints(&m2), f2),
             "extern declarations are module context shared by all functions"
         );
+    }
+
+    /// A module exercising every propagation path: a leaf, a caller, a
+    /// self-recursive function, and an extern in the context table.
+    fn golden_module() -> Module {
+        let mut m = Module::new("t");
+        let g = leaf(&mut m, 7);
+        let i64t = m.types.intern(Type::I64);
+        m.add_extern(ExternDecl {
+            name: "probe".into(),
+            params: vec![i64t],
+            ret_tys: vec![],
+            effects: ExternEffects::unknown(),
+        });
+        let mut b = FunctionBuilder::new(&mut m.types, "rec", Form::Ssa);
+        let i64t = b.ty(Type::I64);
+        let x = b.param("x", i64t);
+        b.returns(&[i64t]);
+        let r = b.call(Callee::Func(g), vec![x], &[i64t]);
+        let s = b.call(Callee::Func(FuncId::from_raw(1)), vec![r[0]], &[i64t]);
+        b.ret(vec![s[0]]);
+        let f = b.finish();
+        m.add_func(f);
+        m
+    }
+
+    const GOLDEN: [u64; 2] = [0x1c77_b7c4_1d1a_d135, 0xb5c8_d8a3_27e6_3da7];
+
+    /// Pins the digests themselves (they are cross-job cache keys): the
+    /// values below were produced before propagation moved into
+    /// `passman::fingerprint`, and must never drift silently.
+    #[test]
+    fn golden_values_are_pinned() {
+        let fps: Vec<u64> = module_fingerprints(&golden_module())
+            .into_iter()
+            .map(|(_, fp)| fp.0)
+            .collect();
+        assert_eq!(fps, GOLDEN);
     }
 }

@@ -132,8 +132,14 @@ impl passman::IrUnit for Module {
         true
     }
 
-    fn fingerprints(&self) -> Vec<(FuncId, passman::Fingerprint)> {
-        crate::fingerprint::module_fingerprints(self)
+    /// Callees are `FuncId` indices, which are positions in `func_keys`.
+    fn local_fingerprint(&self, f: FuncId) -> passman::LocalFingerprint {
+        crate::fingerprint::local_structure(&self.funcs[f])
+    }
+
+    /// The type and extern tables give raw type/extern ids their meaning.
+    fn fingerprint_context(&self) -> Option<u64> {
+        Some(crate::fingerprint::table_hash(self))
     }
 }
 

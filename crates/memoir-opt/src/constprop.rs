@@ -31,6 +31,10 @@ pub struct ConstPropStats {
     pub sizes_folded: usize,
     /// Conditional branches turned unconditional.
     pub branches_folded: usize,
+    /// Other results forwarded to an existing value: identities
+    /// (`x+0`, `x*1`, …), selects on constant conditions, and φs whose
+    /// incomings all agree.
+    pub values_forwarded: usize,
 }
 
 /// Runs constant propagation over every function. Iterates to a local
@@ -54,6 +58,7 @@ pub fn constprop_with(m: &mut Module, am: &mut passman::AnalysisManager<Module>)
             stats.element_reads_forwarded += round.element_reads_forwarded;
             stats.sizes_folded += round.sizes_folded;
             stats.branches_folded += round.branches_folded;
+            stats.values_forwarded += round.values_forwarded;
             if round == ConstPropStats::default() {
                 break;
             }
@@ -117,6 +122,7 @@ fn run_function(
                     );
                     if identity {
                         actions.push(Action::ForwardResult(blk, iid, inst.results[0], *lhs));
+                        stats.values_forwarded += 1;
                     }
                 }
             }
@@ -170,6 +176,7 @@ fn run_function(
                 if let Some(Constant::Bool(b)) = f.value_const(*cond) {
                     let v = if b { *then_value } else { *else_value };
                     actions.push(Action::ForwardResult(blk, iid, inst.results[0], v));
+                    stats.values_forwarded += 1;
                 }
             }
             InstKind::Phi { incoming } => {
@@ -192,6 +199,7 @@ fn run_function(
                 if ok {
                     if let Some(u) = uniq {
                         actions.push(Action::ForwardResult(blk, iid, inst.results[0], u));
+                        stats.values_forwarded += 1;
                     }
                 }
             }
@@ -699,6 +707,44 @@ mod tests {
             .inst_ids_in_order()
             .iter()
             .any(|(_, i)| matches!(f.insts[*i].kind, InstKind::Jump { .. })));
+    }
+
+    /// A φ with a single incoming forwards to that value. The removal is
+    /// a mutation like any fold, so it must show in the stats: the
+    /// registered pass derives its changed-bit (and with it analysis
+    /// invalidation and fixpoint convergence) from them.
+    #[test]
+    fn single_incoming_phi_forward_reports_a_change() {
+        let mut mb = ModuleBuilder::new("m");
+        mb.func("f", Form::Ssa, |b| {
+            let t = b.ty(Type::I64);
+            let x = b.param("x", t);
+            let entry = b.current_block();
+            let next = b.block("next");
+            b.jump(next);
+            b.switch_to(next);
+            let p = b.phi(t, vec![(entry, x)]);
+            b.returns(&[t]);
+            b.ret(vec![p]);
+        });
+        let mut m = mb.finish();
+        let mut pass = crate::passes::create("constprop").unwrap();
+        let out = pass
+            .run(&mut m, &mut passman::AnalysisManager::new())
+            .unwrap();
+        assert!(out.changed, "forwarding the φ removed an instruction");
+        assert_eq!(
+            out.stats
+                .iter()
+                .find(|(k, _)| *k == "values_forwarded")
+                .map(|&(_, v)| v),
+            Some(1)
+        );
+        let f = &m.funcs[m.func_by_name("f").unwrap()];
+        assert!(!f
+            .inst_ids_in_order()
+            .iter()
+            .any(|(_, i)| f.insts[*i].kind.is_phi()));
     }
 
     /// Field-array load-store forwarding (the Extended-Array-SSA

@@ -134,6 +134,7 @@ pub fn registry() -> PassRegistry<Module> {
                 ("element_reads_forwarded", s.element_reads_forwarded as i64),
                 ("sizes_folded", s.sizes_folded as i64),
                 ("branches_folded", s.branches_folded as i64),
+                ("values_forwarded", s.values_forwarded as i64),
             ])
         }))
     });

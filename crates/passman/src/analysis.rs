@@ -30,6 +30,37 @@
 //! regardless of fingerprints — they remain the escape hatch for passes
 //! that know better (`Mutation::Handled`) and for fault rollback.
 //!
+//! ## Incremental refresh and the declaration contract
+//!
+//! A refresh does not re-hash the whole module. The manager memoizes
+//! each function's [`LocalFingerprint`] (its own structure plus its
+//! callee list) and the IR's context word, records a *dirty set* from
+//! [`invalidate`](AnalysisManager::invalidate) and from
+//! `note_mutation(Funcs(ks))`, and at the next query re-hashes only the
+//! dirty functions, then re-propagates callee fingerprints from them up
+//! through their callers ([`Propagation::update`]). `All`, `None`,
+//! `Handled`, [`invalidate_all`](AnalysisManager::invalidate_all) and
+//! fault rollback (which calls `invalidate_all`) re-hash everything, as
+//! does any change to the set of functions. A pass like `sink`, which
+//! invalidates each function it rewrites and queries the next one, so
+//! costs O(size of the rewritten functions + F) per refresh instead of
+//! O(module size) — linear rather than quadratic in the module.
+//!
+//! This is sound only if passes declare what they change:
+//!
+//! * report `changed` on any edit (a silent edit is never re-hashed);
+//! * `Mutation::Funcs(ks)` must cover every function touched, and must
+//!   not add or remove functions or touch the context word (type and
+//!   extern tables): passes that do declare `All`;
+//! * `Handled` passes [`invalidate`](AnalysisManager::invalidate) each
+//!   function as they change it.
+//!
+//! Debug builds check the contract twice: every incremental refresh is
+//! compared against a full [`IrUnit::fingerprints`], and the runner
+//! compares every function's local fingerprint before and after each
+//! pass reporting `changed = false` or `Funcs(ks)` against its
+//! declaration. Release builds pay for neither.
+//!
 //! The manager keeps hit/miss counters per analysis, plus a high-water
 //! mark of how many times any single `(function, analysis)` pair was
 //! computed between invalidations — the caching contract says this must
@@ -41,7 +72,7 @@
 //! reach it — the manager is the only state passes see.
 
 use crate::cache::{CompileCache, CompileCacheStats};
-use crate::fingerprint::Fingerprint;
+use crate::fingerprint::{Fingerprint, LocalFingerprint, Propagation};
 use crate::pass::Mutation;
 use crate::IrUnit;
 use std::any::{Any, TypeId};
@@ -103,6 +134,9 @@ pub struct FingerprintStats {
     /// Cached per-function entries dropped because their function's
     /// fingerprint changed (or the function disappeared).
     pub dropped: u64,
+    /// Functions whose local structure was hashed: every function on a
+    /// full recompute, only the dirty ones on an incremental refresh.
+    pub rehashed: u64,
 }
 
 impl FingerprintStats {
@@ -111,6 +145,7 @@ impl FingerprintStats {
         self.refreshes += other.refreshes;
         self.retained += other.retained;
         self.dropped += other.dropped;
+        self.rehashed += other.rehashed;
     }
 
     /// Counter-wise difference (`self - earlier`).
@@ -119,21 +154,19 @@ impl FingerprintStats {
             refreshes: self.refreshes - earlier.refreshes,
             retained: self.retained - earlier.retained,
             dropped: self.dropped - earlier.dropped,
+            rehashed: self.rehashed - earlier.rehashed,
         }
     }
 }
 
-/// A cached per-function analysis result, stamped with the fingerprint
-/// of the function it was computed for.
-type StampedResult = (Fingerprint, Rc<dyn Any>);
-
 /// Caches per-function and module-wide analysis results (see the module
 /// docs for the fingerprint-based invalidation scheme).
 pub struct AnalysisManager<M: IrUnit> {
-    /// Per-function results, stamped with the fingerprint of the function
-    /// they were computed for (`Fingerprint(0)` when the IR does not
-    /// support fingerprints).
-    cache: HashMap<(M::FuncKey, TypeId), StampedResult>,
+    /// Per-function results.
+    cache: HashMap<(M::FuncKey, TypeId), Rc<dyn Any>>,
+    /// Every analysis kind ever cached (a handful), so a function's
+    /// entries can be dropped by key instead of by scanning the cache.
+    kinds: Vec<TypeId>,
     module_cache: HashMap<TypeId, Rc<dyn Any>>,
     counters: BTreeMap<&'static str, CacheCounter>,
     /// Per-function invalidation generation; bumped by `invalidate` and
@@ -149,9 +182,22 @@ pub struct AnalysisManager<M: IrUnit> {
     fp_initialized: bool,
     /// Set by `note_mutation`/`invalidate*`; the next query refreshes.
     fp_dirty: bool,
+    /// Memoized fingerprint inputs as of the last refresh: the function
+    /// keys in `func_keys` order (and each key's position), their local
+    /// parts, the context word, and the propagation over them.
+    fp_keys: Vec<M::FuncKey>,
+    fp_pos: HashMap<M::FuncKey, usize>,
+    fp_locals: Vec<LocalFingerprint>,
+    fp_context: Option<u64>,
+    fp_prop: Propagation,
+    /// Functions declared mutated since the last refresh (the only ones
+    /// an incremental refresh re-hashes).
+    fp_dirty_funcs: HashSet<M::FuncKey>,
+    /// A wholesale declaration since the last refresh: re-hash everything.
+    fp_full: bool,
     /// All mutations since the last refresh were `Mutation::Handled`
-    /// (the pass kept the cache coherent itself): re-stamp instead of
-    /// dropping.
+    /// (the pass kept the cache coherent itself): keep entries instead
+    /// of dropping.
     pending_handled_only: bool,
     fp_stats: FingerprintStats,
     /// Cross-job pass-output/lowering cache, when one is installed.
@@ -180,6 +226,7 @@ impl<M: IrUnit> AnalysisManager<M> {
     pub fn new() -> Self {
         AnalysisManager {
             cache: HashMap::new(),
+            kinds: Vec::new(),
             module_cache: HashMap::new(),
             counters: BTreeMap::new(),
             generation: HashMap::new(),
@@ -189,6 +236,13 @@ impl<M: IrUnit> AnalysisManager<M> {
             fingerprints: HashMap::new(),
             fp_initialized: false,
             fp_dirty: true,
+            fp_keys: Vec::new(),
+            fp_pos: HashMap::new(),
+            fp_locals: Vec::new(),
+            fp_context: None,
+            fp_prop: Propagation::default(),
+            fp_dirty_funcs: HashSet::new(),
+            fp_full: true,
             pending_handled_only: true,
             fp_stats: FingerprintStats::default(),
             compile_cache: None,
@@ -205,38 +259,23 @@ impl<M: IrUnit> AnalysisManager<M> {
         }
         self.fp_dirty = false;
         let rebind = std::mem::replace(&mut self.pending_handled_only, true);
-        let new: HashMap<M::FuncKey, Fingerprint> = m.fingerprints().into_iter().collect();
+        let changed = self.recompute(m);
         if !self.fp_initialized {
             self.fp_initialized = true;
-            self.fingerprints = new;
             return;
         }
         self.fp_stats.refreshes += 1;
         if rebind {
             // Every mutation since the last refresh was `Handled`: the
-            // pass kept results valid, so keep them and re-stamp to the
-            // new content.
-            for ((f, _), entry) in self.cache.iter_mut() {
-                if let Some(&fp) = new.get(f) {
-                    entry.0 = fp;
-                }
-            }
-            self.fingerprints = new;
+            // pass kept results valid, so keep them.
             return;
         }
-        let changed: HashSet<M::FuncKey> = self
-            .fingerprints
-            .iter()
-            .filter(|(f, old)| new.get(f) != Some(old))
-            .map(|(f, _)| *f)
-            .chain(
-                new.keys()
-                    .filter(|f| !self.fingerprints.contains_key(f))
-                    .copied(),
-            )
-            .collect();
         let before = self.cache.len();
-        self.cache.retain(|(f, _), _| !changed.contains(f));
+        for &f in &changed {
+            for &kind in &self.kinds {
+                self.cache.remove(&(f, kind));
+            }
+        }
         let dropped = (before - self.cache.len()) as u64;
         self.fp_stats.dropped += dropped;
         self.fp_stats.retained += self.cache.len() as u64;
@@ -248,7 +287,94 @@ impl<M: IrUnit> AnalysisManager<M> {
         for f in changed {
             *self.generation.entry(f).or_insert(0) += 1;
         }
+    }
+
+    /// Brings the memoized fingerprint inputs and `fingerprints` up to
+    /// date, returning the functions whose fingerprint changed (or that
+    /// appeared or disappeared).
+    ///
+    /// Incremental — re-hashing only the functions declared mutated, and
+    /// re-propagating only from them up through their callers — unless
+    /// a wholesale declaration is pending or the set of functions moved;
+    /// then every function and the context word are re-hashed. A dirty
+    /// function whose callee list changed re-propagates the whole (cheap)
+    /// callgraph from the memoized local parts.
+    fn recompute(&mut self, m: &M) -> Vec<M::FuncKey> {
+        let keys = m.func_keys();
+        let dirty_funcs = std::mem::take(&mut self.fp_dirty_funcs);
+        if self.fp_full || keys != self.fp_keys {
+            self.fp_full = false;
+            self.fp_locals = keys.iter().map(|&k| m.local_fingerprint(k)).collect();
+            self.fp_context = m.fingerprint_context();
+            self.fp_stats.rehashed += keys.len() as u64;
+            self.fp_pos = keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+            self.fp_keys = keys;
+            return self.repropagate();
+        }
+        let mut dirty: Vec<usize> = Vec::new();
+        let mut relink = false;
+        for k in dirty_funcs {
+            let Some(&i) = self.fp_pos.get(&k) else {
+                continue;
+            };
+            let local = m.local_fingerprint(k);
+            self.fp_stats.rehashed += 1;
+            if local != self.fp_locals[i] {
+                relink |= local.callees != self.fp_locals[i].callees;
+                self.fp_locals[i] = local;
+                dirty.push(i);
+            }
+        }
+        let changed: Vec<M::FuncKey> = if relink {
+            self.repropagate()
+        } else {
+            let moved = self
+                .fp_prop
+                .update(&self.fp_locals, self.fp_context, &dirty);
+            for &i in &moved {
+                self.fingerprints
+                    .insert(self.fp_keys[i], self.fp_prop.fingerprints()[i]);
+            }
+            moved.into_iter().map(|i| self.fp_keys[i]).collect()
+        };
+        #[cfg(debug_assertions)]
+        {
+            let full = m.fingerprints();
+            assert!(
+                full.len() == self.fingerprints.len()
+                    && full
+                        .iter()
+                        .all(|(k, fp)| self.fingerprints.get(k) == Some(fp)),
+                "incremental fingerprint refresh diverged from a full recompute: \
+                 a function changed without being declared mutated"
+            );
+        }
+        changed
+    }
+
+    /// Propagates the memoized local parts over the whole callgraph and
+    /// diffs the result against the previous fingerprints.
+    fn repropagate(&mut self) -> Vec<M::FuncKey> {
+        self.fp_prop = Propagation::new(&self.fp_locals, self.fp_context);
+        let new: HashMap<M::FuncKey, Fingerprint> = self
+            .fp_keys
+            .iter()
+            .copied()
+            .zip(self.fp_prop.fingerprints().iter().copied())
+            .collect();
+        let changed = self
+            .fingerprints
+            .iter()
+            .filter(|(f, old)| new.get(f) != Some(old))
+            .map(|(f, _)| *f)
+            .chain(
+                new.keys()
+                    .filter(|f| !self.fingerprints.contains_key(f))
+                    .copied(),
+            )
+            .collect();
         self.fingerprints = new;
+        changed
     }
 
     /// Marks the manager stale after a pass reported `changed` with the
@@ -259,6 +385,11 @@ impl<M: IrUnit> AnalysisManager<M> {
     pub fn note_mutation(&mut self, m: &M, mutated: &Mutation<M>) {
         if m.supports_fingerprints() {
             self.fp_dirty = true;
+            match mutated {
+                // Only the declared functions need re-hashing.
+                Mutation::Funcs(fs) => self.fp_dirty_funcs.extend(fs.iter().copied()),
+                _ => self.fp_full = true,
+            }
             if !matches!(mutated, Mutation::Handled) {
                 self.pending_handled_only = false;
                 // Module-wide analyses may aggregate anything (including
@@ -299,7 +430,7 @@ impl<M: IrUnit> AnalysisManager<M> {
     pub fn get<A: Analysis<M>>(&mut self, m: &M, f: M::FuncKey) -> Rc<A::Output> {
         self.refresh(m);
         let key = (f, TypeId::of::<A>());
-        if let Some((_, hit)) = self.cache.get(&key) {
+        if let Some(hit) = self.cache.get(&key) {
             self.counters.entry(A::NAME).or_default().hits += 1;
             return Rc::clone(hit)
                 .downcast::<A::Output>()
@@ -317,9 +448,10 @@ impl<M: IrUnit> AnalysisManager<M> {
         let ctr = self.counters.entry(A::NAME).or_default();
         ctr.misses += 1;
         ctr.max_computes_between_invalidations = ctr.max_computes_between_invalidations.max(count);
-        let stamp = self.fingerprints.get(&f).copied().unwrap_or_default();
-        self.cache
-            .insert(key, (stamp, Rc::clone(&value) as Rc<dyn Any>));
+        if !self.kinds.contains(&key.1) {
+            self.kinds.push(key.1);
+        }
+        self.cache.insert(key, Rc::clone(&value) as Rc<dyn Any>);
         value
     }
 
@@ -347,10 +479,13 @@ impl<M: IrUnit> AnalysisManager<M> {
     pub fn invalidate(&mut self, f: M::FuncKey) {
         *self.generation.entry(f).or_insert(0) += 1;
         self.invalidation_events += 1;
-        self.cache.retain(|(k, _), _| *k != f);
+        for &kind in &self.kinds {
+            self.cache.remove(&(f, kind));
+        }
         self.module_cache.clear();
         // The content may have changed under us: re-fingerprint lazily.
         self.fp_dirty = true;
+        self.fp_dirty_funcs.insert(f);
         self.pending_handled_only = false;
     }
 
@@ -361,6 +496,7 @@ impl<M: IrUnit> AnalysisManager<M> {
         self.cache.clear();
         self.module_cache.clear();
         self.fp_dirty = true;
+        self.fp_full = true;
         self.pending_handled_only = false;
     }
 

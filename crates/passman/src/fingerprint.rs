@@ -25,10 +25,16 @@
 //!   invalidate *dependents* of a changed function without a separate
 //!   dependency graph.
 //!
-//! The IR crates implement the actual walks
-//! (`memoir_ir::fingerprint`, `lir::fingerprint`) on top of the
-//! [`StableHasher`] and the leaves-first [`sccs`] condensation here.
+//! The IR crates implement only the per-function walk
+//! (`memoir_ir::fingerprint`, `lir::fingerprint`): a [`LocalFingerprint`]
+//! of the function's own structure plus its callee list, and optionally a
+//! module-wide context word (MEMOIR's type/extern table hash).
+//! [`propagate`] here folds callee fingerprints over the leaves-first
+//! [`sccs`] condensation, so both IRs share one propagation — and the
+//! [`AnalysisManager`](crate::AnalysisManager) can memoize the local
+//! parts and re-hash only the functions a pass declared mutated.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A stable structural content hash of one function (plus its type and
@@ -72,6 +78,156 @@ impl Fingerprint {
         h.write_u64(sum);
         h.write_u64(n);
         Fingerprint(h.finish())
+    }
+}
+
+/// The part of a function's fingerprint that depends on the function
+/// alone: a structural hash of its body and its in-module callees in
+/// call-site order, as positions in [`IrUnit::func_keys`](crate::IrUnit::func_keys).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LocalFingerprint {
+    /// Structural hash of the function's own body.
+    pub hash: u64,
+    /// Callee positions, one per call site, in call-site order.
+    pub callees: Vec<usize>,
+}
+
+/// Marker folded in place of an intra-SCC (recursive) callee.
+const RECURSIVE_CALLEE: u64 = 0x5245_4355_5253_4500; // "RECURSE"
+
+/// Final fingerprints from per-function local parts, in `locals` order.
+///
+/// The callgraph is condensed into SCCs (leaves-first) and each member
+/// hashes `context` (when present), its local hash, and its callees'
+/// fingerprints in call-site order — an intra-SCC callee as a marker,
+/// resolved by a commutative SCC summary, so the result does not depend
+/// on member enumeration order. Editing a function therefore changes
+/// the fingerprint of every transitive caller.
+pub fn propagate(locals: &[LocalFingerprint], context: Option<u64>) -> Vec<Fingerprint> {
+    Propagation::new(locals, context).out
+}
+
+/// The state of one [`propagate`] run, kept so that a later edit can be
+/// re-propagated from the edited functions up through their callers
+/// only, instead of over the whole callgraph.
+#[derive(Clone, Debug, Default)]
+pub struct Propagation {
+    /// SCCs, leaves-first.
+    comps: Vec<Vec<usize>>,
+    comp_of: Vec<usize>,
+    /// Per SCC, the other SCCs that call into it.
+    callers: Vec<Vec<usize>>,
+    out: Vec<Fingerprint>,
+}
+
+impl Propagation {
+    /// Propagates over the whole callgraph (see [`propagate`]).
+    pub fn new(locals: &[LocalFingerprint], context: Option<u64>) -> Self {
+        let n = locals.len();
+        let comps = sccs(n, &|v| locals[v].callees.clone());
+        let mut comp_of = vec![usize::MAX; n];
+        for (ci, comp) in comps.iter().enumerate() {
+            for &v in comp {
+                comp_of[v] = ci;
+            }
+        }
+        let mut callers = vec![Vec::new(); comps.len()];
+        for (ci, comp) in comps.iter().enumerate() {
+            for &v in comp {
+                for &c in &locals[v].callees {
+                    if c < n && comp_of[c] != ci {
+                        callers[comp_of[c]].push(ci);
+                    }
+                }
+            }
+        }
+        for c in &mut callers {
+            c.sort_unstable();
+            c.dedup();
+        }
+        let mut p = Propagation {
+            comps,
+            comp_of,
+            callers,
+            out: vec![Fingerprint(0); n],
+        };
+        for ci in 0..p.comps.len() {
+            p.hash_comp(ci, locals, context, &mut Vec::new());
+        }
+        p
+    }
+
+    /// The fingerprints, in `locals` order.
+    pub fn fingerprints(&self) -> &[Fingerprint] {
+        &self.out
+    }
+
+    /// Re-propagates after the local hashes at positions `dirty` changed,
+    /// returning the positions whose fingerprint changed, ascending. The
+    /// callee lists (and so the condensation) must be unchanged; when
+    /// they are not, build a fresh [`Propagation::new`] instead.
+    /// Propagation stops at SCCs whose fingerprints came out unchanged.
+    pub fn update(
+        &mut self,
+        locals: &[LocalFingerprint],
+        context: Option<u64>,
+        dirty: &[usize],
+    ) -> Vec<usize> {
+        let mut pending: BTreeSet<usize> = dirty.iter().map(|&v| self.comp_of[v]).collect();
+        let mut changed = Vec::new();
+        // Callers sit later in leaves-first order, so ascending order
+        // finalizes every callee SCC before its callers are re-hashed.
+        while let Some(ci) = pending.pop_first() {
+            if self.hash_comp(ci, locals, context, &mut changed) {
+                pending.extend(self.callers[ci].iter().copied());
+            }
+        }
+        changed.sort_unstable();
+        changed
+    }
+
+    /// Hashes SCC `ci` from its members' local parts and their (final)
+    /// callee fingerprints, appending the members whose fingerprint
+    /// changed to `changed`; returns whether any did.
+    fn hash_comp(
+        &mut self,
+        ci: usize,
+        locals: &[LocalFingerprint],
+        context: Option<u64>,
+        changed: &mut Vec<usize>,
+    ) -> bool {
+        let n = self.out.len();
+        let comp = &self.comps[ci];
+        let members: Vec<Fingerprint> = comp
+            .iter()
+            .map(|&v| {
+                let mut h = StableHasher::new();
+                if let Some(cx) = context {
+                    h.write_u64(cx);
+                }
+                h.write_u64(locals[v].hash);
+                for &c in &locals[v].callees {
+                    if c < n && self.comp_of[c] == ci {
+                        h.write_u64(RECURSIVE_CALLEE);
+                    } else if c < n {
+                        h.write_u64(self.out[c].0);
+                    } else {
+                        h.write_u64(u64::MAX); // dangling callee
+                    }
+                }
+                h.fingerprint()
+            })
+            .collect();
+        let summary = Fingerprint::combine_commutative(members.iter().copied());
+        let before = changed.len();
+        for (&v, member) in comp.iter().zip(members) {
+            let fp = member.combine(summary);
+            if self.out[v] != fp {
+                self.out[v] = fp;
+                changed.push(v);
+            }
+        }
+        changed.len() > before
     }
 }
 
@@ -168,7 +324,7 @@ impl StableHasher {
 /// points to an earlier component in the returned order). Within a
 /// component, nodes appear in a deterministic (input-index) order.
 ///
-/// This is the condensation both IR crates run callee-fingerprint
+/// This is the condensation [`propagate`] runs callee-fingerprint
 /// propagation over: process SCCs leaves-first, so every cross-SCC
 /// callee already has a final fingerprint, and summarize intra-SCC
 /// (recursive) edges commutatively.
@@ -295,6 +451,43 @@ mod tests {
         assert!(pos(1) < pos(0), "callee SCC must precede caller");
         assert_eq!(pos(1), pos(2), "cycle is one component");
         assert_eq!(comps.iter().map(|c| c.len()).sum::<usize>(), 4);
+    }
+
+    #[test]
+    fn propagation_folds_callees_and_context() {
+        let leaf = |hash| LocalFingerprint {
+            hash,
+            callees: vec![],
+        };
+        let caller = LocalFingerprint {
+            hash: 1,
+            callees: vec![1],
+        };
+        let a = propagate(&[caller.clone(), leaf(2)], None);
+        let b = propagate(&[caller.clone(), leaf(3)], None);
+        assert_ne!(a[0], b[0], "callee edit must reach the caller");
+        assert_ne!(a[0], propagate(&[caller, leaf(2)], Some(9))[0]);
+    }
+
+    #[test]
+    fn update_matches_a_fresh_propagation() {
+        // 0 -> 1 -> {2 <-> 3}, 4 isolated.
+        let local = |hash, callees: Vec<usize>| LocalFingerprint { hash, callees };
+        let mut locals = vec![
+            local(10, vec![1]),
+            local(11, vec![2]),
+            local(12, vec![3]),
+            local(13, vec![2]),
+            local(14, vec![]),
+        ];
+        let mut p = Propagation::new(&locals, Some(7));
+        let before = p.fingerprints().to_vec();
+        locals[3].hash = 99;
+        let changed = p.update(&locals, Some(7), &[3]);
+        assert_eq!(p.fingerprints(), propagate(&locals, Some(7)).as_slice());
+        assert_eq!(changed, vec![0, 1, 2, 3], "the edit reaches every caller");
+        assert_eq!(p.fingerprints()[4], before[4]);
+        assert!(p.update(&locals, Some(7), &[4]).is_empty(), "no-op edit");
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use analysis::{Analysis, AnalysisManager, CacheCounter, FingerprintStats, Mo
 pub use budget::{BudgetViolation, Budgets};
 pub use cache::{CompileCache, CompileCacheStats};
 pub use fault::{FaultPlan, InjectKind};
-pub use fingerprint::{Fingerprint, StableHasher};
+pub use fingerprint::{Fingerprint, LocalFingerprint, StableHasher};
 pub use parallel::{
     ContainedFault, ExecContext, FuncOutcome, FuncPass, FuncPassAdapter, FuncPassProfile,
     ShardStat, ShardedIr,
@@ -91,13 +91,37 @@ pub trait IrUnit {
         false
     }
 
-    /// Structural content fingerprints for every function, in any order
-    /// (see [`fingerprint`] for the contract: deterministic,
-    /// renumbering-insensitive, sensitive to op/type/callee edits).
-    /// Must return one entry per key of [`func_keys`](IrUnit::func_keys)
-    /// when [`supports_fingerprints`](IrUnit::supports_fingerprints) is
-    /// `true`.
+    /// The local part of function `f`'s fingerprint: its own structural
+    /// hash and its callees as positions in
+    /// [`func_keys`](IrUnit::func_keys). Only called when
+    /// [`supports_fingerprints`](IrUnit::supports_fingerprints) is
+    /// `true`; the analysis manager memoizes it per function and re-asks
+    /// only for functions declared mutated.
+    fn local_fingerprint(&self, f: Self::FuncKey) -> LocalFingerprint {
+        let _ = f;
+        LocalFingerprint::default()
+    }
+
+    /// A module-wide word folded into every function's fingerprint
+    /// (e.g. a hash of the type and extern tables), or `None`. Passes
+    /// that change it must declare [`Mutation::All`].
+    fn fingerprint_context(&self) -> Option<u64> {
+        None
+    }
+
+    /// Structural content fingerprints for every function, in
+    /// [`func_keys`](IrUnit::func_keys) order (see [`fingerprint`] for
+    /// the contract: deterministic, renumbering-insensitive, sensitive to
+    /// op/type/callee edits): every local part, propagated over the
+    /// callgraph. Empty when fingerprints are not supported.
     fn fingerprints(&self) -> Vec<(Self::FuncKey, Fingerprint)> {
-        Vec::new()
+        if !self.supports_fingerprints() {
+            return Vec::new();
+        }
+        let keys = self.func_keys();
+        let locals: Vec<LocalFingerprint> =
+            keys.iter().map(|&k| self.local_fingerprint(k)).collect();
+        let fps = fingerprint::propagate(&locals, self.fingerprint_context());
+        keys.into_iter().zip(fps).collect()
     }
 }

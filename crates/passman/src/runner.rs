@@ -23,7 +23,11 @@ use crate::analysis::{AnalysisManager, CacheCounter, FingerprintStats};
 use crate::budget::{BudgetViolation, Budgets};
 use crate::cache::{CompileCache, CompileCacheStats};
 use crate::fault::{FaultPlan, InjectKind};
+#[cfg(debug_assertions)]
+use crate::fingerprint::LocalFingerprint;
 use crate::parallel::{ExecContext, FuncPassProfile, ShardedIr};
+#[cfg(debug_assertions)]
+use crate::pass::{Mutation, PassOutcome};
 use crate::pass::{Pass, PassError, PassRegistry};
 use crate::recover::{Degradation, FaultCause, FaultPolicy, RecoveryAction};
 use crate::snapshot::{CowEngine, FullCloneEngine, SnapshotCost, SnapshotEngine, SnapshotStats};
@@ -200,8 +204,8 @@ impl RunReport {
         if self.fingerprints.refreshes > 0 {
             let fp = &self.fingerprints;
             out.push_str(&format!(
-                "fingerprints refreshes={} retained={} dropped={}\n",
-                fp.refreshes, fp.retained, fp.dropped
+                "fingerprints refreshes={} retained={} dropped={} rehashed={}\n",
+                fp.refreshes, fp.retained, fp.dropped, fp.rehashed
             ));
         }
         for d in &self.degradations {
@@ -310,6 +314,63 @@ type SymCheck<M> = Rc<dyn Fn(&M, &M, u64) -> Result<(), String>>;
 struct SymVerifier<M> {
     capture: Rc<dyn Fn(&M) -> M>,
     check: SymCheck<M>,
+}
+
+/// The fingerprint inputs of a whole module: its context word and every
+/// function's local part.
+#[cfg(debug_assertions)]
+type AuditSnapshot<K> = (Option<u64>, Vec<(K, LocalFingerprint)>);
+
+#[cfg(debug_assertions)]
+fn audit_snapshot<M: IrUnit>(m: &M) -> Option<AuditSnapshot<M::FuncKey>> {
+    m.supports_fingerprints().then(|| {
+        let locals = m
+            .func_keys()
+            .into_iter()
+            .map(|k| (k, m.local_fingerprint(k)))
+            .collect();
+        (m.fingerprint_context(), locals)
+    })
+}
+
+/// The declaration audit (debug builds only): the incremental
+/// fingerprint refresh re-hashes only what passes declare, so a pass
+/// reporting `changed = false` must have moved nothing, and one
+/// reporting `Mutation::Funcs(ks)` nothing outside `ks` — no other
+/// function, no function added or removed, no change to the context
+/// word. `All`, `None` and `Handled` are followed by a full re-hash and
+/// need no audit.
+#[cfg(debug_assertions)]
+fn audit_declaration<M: IrUnit>(
+    pass: &str,
+    before: &AuditSnapshot<M::FuncKey>,
+    m: &M,
+    outcome: &PassOutcome<M>,
+) {
+    let declared: &[M::FuncKey] = match (&outcome.mutated, outcome.changed) {
+        (_, false) => &[],
+        (Mutation::Funcs(ks), true) => ks,
+        _ => return,
+    };
+    let (context, locals) = audit_snapshot(m).expect("fingerprint support is fixed per IR");
+    let scope = format!("changed={} {:?}", outcome.changed, outcome.mutated);
+    assert!(
+        context == before.0,
+        "pass `{pass}` declared {scope} but changed the module context"
+    );
+    assert!(
+        locals
+            .iter()
+            .map(|(k, _)| k)
+            .eq(before.1.iter().map(|(k, _)| k)),
+        "pass `{pass}` declared {scope} but added or removed functions"
+    );
+    for ((k, after), (_, prior)) in locals.iter().zip(&before.1) {
+        assert!(
+            after == prior || declared.contains(k),
+            "pass `{pass}` declared {scope} but mutated undeclared function {k:?}"
+        );
+    }
 }
 
 /// What [`PassManager::run_one`] tells the step loop.
@@ -793,6 +854,10 @@ impl<M: IrUnit> PassManager<M> {
 
         // The symbolic verifier needs the pre-pass IR to prove against.
         let sym_before = sym.map(|sv| (sv.capture)(m));
+        // Debug builds audit the pass's mutation declaration against the
+        // functions it actually moved (see `audit_declaration`).
+        #[cfg(debug_assertions)]
+        let audit_before = audit_snapshot(m);
 
         // --- run the pass body ---------------------------------------
         let t0 = Instant::now();
@@ -832,6 +897,10 @@ impl<M: IrUnit> PassManager<M> {
                 }
             }
             Ok(Ok(outcome)) => {
+                #[cfg(debug_assertions)]
+                if let Some(before) = &audit_before {
+                    audit_declaration(name, before, m, &outcome);
+                }
                 if outcome.changed {
                     // Fingerprint-capable IRs resolve every scope lazily
                     // ("drop what actually changed") at the next query;
