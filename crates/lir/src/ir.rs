@@ -474,10 +474,6 @@ impl passman::IrUnit for Module {
         self.inst_count()
     }
 
-    fn supports_fingerprints(&self) -> bool {
-        true
-    }
-
     fn local_fingerprint(&self, f: Fun) -> passman::LocalFingerprint {
         crate::fingerprint::local_structure(&self.funcs[f.0 as usize])
     }

@@ -128,10 +128,6 @@ impl passman::IrUnit for Module {
         self.inst_count()
     }
 
-    fn supports_fingerprints(&self) -> bool {
-        true
-    }
-
     /// Callees are `FuncId` indices, which are positions in `func_keys`.
     fn local_fingerprint(&self, f: FuncId) -> passman::LocalFingerprint {
         crate::fingerprint::local_structure(&self.funcs[f])

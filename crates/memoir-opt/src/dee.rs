@@ -57,20 +57,29 @@ pub struct DeeStats {
 /// Runs strict (fully semantics-preserving) intra-function DEE on every
 /// SSA function.
 pub fn dee_strict(m: &mut Module) -> DeeStats {
-    dee_strict_with(m, &mut AnalysisManager::new())
+    dee_strict_with(m, &mut AnalysisManager::new()).0
 }
 
 /// Runs strict DEE, sharing def-use chains through `am` and invalidating
-/// only the functions it actually rewrote.
-pub fn dee_strict_with(m: &mut Module, am: &mut AnalysisManager<Module>) -> DeeStats {
+/// only the functions it actually rewrote, which it also returns in id
+/// order.
+pub fn dee_strict_with(
+    m: &mut Module,
+    am: &mut AnalysisManager<Module>,
+) -> (DeeStats, Vec<FuncId>) {
     let mut stats = DeeStats::default();
+    let mut touched = Vec::new();
     for fid in m.funcs.ids().collect::<Vec<_>>() {
         if m.funcs[fid].form != Form::Ssa {
             continue;
         }
-        stats = merge(stats, dee_function(m, fid, &LiveRangeConfig::sound(), am));
+        let s = dee_function(m, fid, &LiveRangeConfig::sound(), am);
+        if s != DeeStats::default() {
+            touched.push(fid);
+        }
+        stats = merge(stats, s);
     }
-    stats
+    (stats, touched)
 }
 
 /// Intra-function DEE under a given live-range configuration: drops

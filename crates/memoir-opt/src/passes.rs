@@ -3,12 +3,12 @@
 //!
 //! Each adapter translates a pass's native statistics struct into the
 //! flat `(key, value)` form of [`PassOutcome`] and declares what it
-//! invalidates: most passes declare [`Mutation::All`] on change, while
-//! the iterative passes that already maintain the
-//! [`AnalysisManager`](passman::AnalysisManager)
-//! themselves ([`sink_with`](crate::sink::sink_with),
-//! [`dee_strict_with`](crate::dee::dee_strict_with)) declare
-//! [`Mutation::Handled`] so their still-fresh analyses survive the run.
+//! mutated: most passes declare [`Mutation::All`] on change, while the
+//! function-sharded passes and the iterative passes that report the
+//! functions they rewrote ([`sink_with`](crate::sink::sink_with),
+//! [`dee_strict_with`](crate::dee::dee_strict_with)) declare exactly
+//! those functions as [`Mutation::Funcs`], so every other function's
+//! cached analyses survive without a re-hash.
 
 use crate::dee::DeeStats;
 use crate::pipeline::FE_AFFINITY_THRESHOLD;
@@ -152,14 +152,15 @@ pub fn registry() -> PassRegistry<Module> {
     });
     r.register("sink", || {
         Box::new(FnPass::infallible("sink", |m: &mut Module, am| {
-            let s = sink::sink_with(m, am);
-            PassOutcome::from_stats(vec![("sunk", s.sunk as i64)]).with_mutated(Mutation::Handled)
+            let (s, touched) = sink::sink_with(m, am);
+            PassOutcome::from_stats(vec![("sunk", s.sunk as i64)])
+                .with_mutated(Mutation::Funcs(touched))
         }))
     });
     r.register("dee-strict", || {
         Box::new(FnPass::infallible("dee-strict", |m: &mut Module, am| {
-            let s = dee::dee_strict_with(m, am);
-            PassOutcome::from_stats(dee_stats(&s)).with_mutated(Mutation::Handled)
+            let (s, touched) = dee::dee_strict_with(m, am);
+            PassOutcome::from_stats(dee_stats(&s)).with_mutated(Mutation::Funcs(touched))
         }))
     });
     r.register("dee-specialize", || {
@@ -175,7 +176,7 @@ pub fn registry() -> PassRegistry<Module> {
     // intra-function DEE followed by call specialization.
     r.register("dee", || {
         Box::new(FnPass::infallible("dee", |m: &mut Module, am| {
-            let strict = dee::dee_strict_with(m, am);
+            let (strict, touched) = dee::dee_strict_with(m, am);
             let spec = dee::dee_specialize_calls(m);
             let spec_changed = spec != DeeStats::default();
             let mut stats = dee_stats(&strict);
@@ -188,7 +189,7 @@ pub fn registry() -> PassRegistry<Module> {
                 // the whole module are stale.
                 out.with_mutated(Mutation::All)
             } else {
-                out.with_mutated(Mutation::Handled)
+                out.with_mutated(Mutation::Funcs(touched))
             }
         }))
     });
@@ -196,16 +197,13 @@ pub fn registry() -> PassRegistry<Module> {
         Box::new(FnPass::infallible("field-elision", |m: &mut Module, am| {
             // Elision requires mut form and an entry function; like the
             // legacy pipeline, quietly skip when preconditions fail.
-            // The pass invalidates `am` itself after each rewrite (and
-            // re-derives affinity through it), so declare Handled to
-            // keep the final — still fresh — affinity cached.
+            // Elision rewrites the type table, so it declares `All`.
             match field_elision::auto_field_elision_with(m, FE_AFFINITY_THRESHOLD, am) {
                 Ok(s) => PassOutcome::from_stats(vec![
                     ("fields_elided", s.fields_elided.len() as i64),
                     ("functions_threaded", s.functions_threaded as i64),
                     ("accesses_rewritten", s.accesses_rewritten as i64),
-                ])
-                .with_mutated(Mutation::Handled),
+                ]),
                 Err(_) => PassOutcome::unchanged(),
             }
         }))
@@ -293,6 +291,64 @@ mod tests {
             assert!(r.contains(name), "missing pass `{name}`");
         }
         assert_eq!(r.names().len(), 16);
+    }
+
+    /// `f` reads an element on entry but uses it on one branch only, so
+    /// `sink` moves the read; `g` has nothing to sink.
+    fn sinkable() -> Module {
+        use memoir_ir::{ModuleBuilder, Type};
+        let mut mb = ModuleBuilder::new("m");
+        mb.func("f", memoir_ir::Form::Ssa, |b| {
+            let i64t = b.ty(Type::I64);
+            let boolt = b.ty(Type::Bool);
+            let seqt = b.types.seq_of(i64t);
+            let s = b.param("s", seqt);
+            let cond = b.param("c", boolt);
+            let zero = b.index(0);
+            let v = b.read(s, zero);
+            let yes = b.block("yes");
+            let no = b.block("no");
+            b.branch(cond, yes, no);
+            b.switch_to(yes);
+            let one = b.i64(1);
+            let r = b.add(v, one);
+            b.returns(&[i64t]);
+            b.ret(vec![r]);
+            b.switch_to(no);
+            let z = b.i64(0);
+            b.ret(vec![z]);
+        });
+        mb.func("g", memoir_ir::Form::Ssa, |b| {
+            let i64t = b.ty(Type::I64);
+            let x = b.param("x", i64t);
+            let y = b.add(x, x);
+            b.returns(&[i64t]);
+            b.ret(vec![y]);
+        });
+        mb.finish()
+    }
+
+    /// `sink` declares exactly the functions it rewrote, each re-queried
+    /// after its last rewrite, so a second `sink` finds every analysis
+    /// it needs still cached.
+    #[test]
+    fn second_sink_is_all_analysis_hits() {
+        let run = |spec: &str| {
+            let mut m = sinkable();
+            passman::PassManager::new(registry())
+                .run(&mut m, &spec.parse().unwrap())
+                .unwrap()
+        };
+        let once = run("sink");
+        let twice = run("sink,sink");
+        assert_eq!(twice.passes[0].stat("sunk"), Some(1));
+        assert_eq!(twice.passes[1].stat("sunk"), Some(0));
+        for name in ["dom-tree", "def-use", "loop-depths"] {
+            let (first, both) = (once.cache_counter(name), twice.cache_counter(name));
+            assert!(first.misses > 0, "{name}");
+            assert_eq!(both.misses, first.misses, "{name}: second sink recomputed");
+            assert_eq!(both.hits, first.hits + 2, "{name}: one hit per function");
+        }
     }
 
     #[test]

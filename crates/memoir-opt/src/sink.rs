@@ -9,7 +9,7 @@
 //! (where "may write"/"may reference" memory barriers dominate failures).
 
 use memoir_analysis::cached::{CachedDefUse, CachedDomTree, CachedLoopDepths};
-use memoir_ir::{BlockId, Effect, Form, InstId, InstKind, Module};
+use memoir_ir::{BlockId, Effect, Form, FuncId, InstId, InstKind, Module};
 use passman::AnalysisManager;
 use std::collections::HashMap;
 
@@ -22,14 +22,16 @@ pub struct SinkStats {
 
 /// Runs sinking on every SSA-form function.
 pub fn sink(m: &mut Module) -> SinkStats {
-    sink_with(m, &mut AnalysisManager::new())
+    sink_with(m, &mut AnalysisManager::new()).0
 }
 
 /// Runs sinking, sharing analyses through `am`: the dominator tree,
 /// def-use chains, and loop depths are fetched from the cache and
 /// invalidated only on iterations that actually moved an instruction.
-pub fn sink_with(m: &mut Module, am: &mut AnalysisManager<Module>) -> SinkStats {
+/// Also returns the functions it rewrote, in id order.
+pub fn sink_with(m: &mut Module, am: &mut AnalysisManager<Module>) -> (SinkStats, Vec<FuncId>) {
     let mut stats = SinkStats::default();
+    let mut touched = Vec::new();
     for fid in m.funcs.ids().collect::<Vec<_>>() {
         if m.funcs[fid].form != Form::Ssa {
             continue;
@@ -41,12 +43,15 @@ pub fn sink_with(m: &mut Module, am: &mut AnalysisManager<Module>) -> SinkStats 
                 break;
             }
             am.invalidate(fid);
+            if touched.last() != Some(&fid) {
+                touched.push(fid);
+            }
         }
     }
-    stats
+    (stats, touched)
 }
 
-fn run_function(m: &mut Module, fid: memoir_ir::FuncId, am: &mut AnalysisManager<Module>) -> usize {
+fn run_function(m: &mut Module, fid: FuncId, am: &mut AnalysisManager<Module>) -> usize {
     let dt = am.get::<CachedDomTree>(m, fid);
     let du = am.get::<CachedDefUse>(m, fid);
     let depths = am.get::<CachedLoopDepths>(m, fid);

@@ -495,7 +495,14 @@ impl Service {
     }
 
     fn stop_threads(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Under the queue lock: an idle worker checks the flag with
+            // that lock held and then waits, so an unlocked store could
+            // land between its check and its wait and lose the wakeup,
+            // leaving the join below blocked forever.
+            let _q = self.shared.queue.lock().expect("queue poisoned");
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.queue_cv.notify_all();
         let _ = self
             .shared

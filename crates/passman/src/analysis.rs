@@ -6,29 +6,26 @@
 //! per module for [`ModuleAnalysis`]) and returns `Rc` clones, so a pass
 //! can hold a result while mutating unrelated state.
 //!
-//! ## Invalidation: fingerprints first, generations as fallback
+//! ## Invalidation: content fingerprints
 //!
-//! Historically the manager *push*-invalidated: a pass declaring
-//! [`Mutation`] dropped every cached result for the
-//! declared functions (or for everything, under `Mutation::All`/`None`),
-//! even when the pass left most functions byte-identical. Since the
-//! query-layer refactor, mutation declarations only mark the manager
-//! *stale* ([`note_mutation`](AnalysisManager::note_mutation)); the next
-//! query recomputes the module's [`Fingerprint`]s and drops **only** the
-//! entries whose function's fingerprint actually changed — a recomputed
-//! fingerprint that matches keeps the cached dom tree/liveness/escape
-//! result even though a pass reported `changed`. Because fingerprints
-//! fold in transitive callee fingerprints, a `Mutation::Funcs`-scoped
-//! pass that changes a callee automatically invalidates the *callers'*
-//! entries too (the callgraph-edge audit gap).
+//! A cached per-function result stays valid exactly as long as its
+//! function's content [`Fingerprint`] does. A pass's [`Mutation`]
+//! declaration does not drop anything by itself: it only marks the
+//! manager *stale* ([`note_mutation`](AnalysisManager::note_mutation)),
+//! and the next query recomputes the fingerprints and drops **only** the
+//! entries whose function's fingerprint actually changed — a function
+//! that ends up byte-identical keeps its dom tree/liveness/escape result
+//! even though the pass reported `changed`. Because fingerprints fold in
+//! transitive callee fingerprints, a `Mutation::Funcs`-scoped pass that
+//! changes a callee also invalidates its *callers'* entries.
 //!
-//! IR units that do not implement
-//! [`IrUnit::fingerprints`] keep the legacy
-//! generation-counter behaviour unchanged. Explicit
+//! Module-wide results may aggregate anything, so any mutation
+//! declaration drops them. Explicit
 //! [`invalidate`](AnalysisManager::invalidate) /
-//! [`invalidate_all`](AnalysisManager::invalidate_all) always force-drop
-//! regardless of fingerprints — they remain the escape hatch for passes
-//! that know better (`Mutation::Handled`) and for fault rollback.
+//! [`invalidate_all`](AnalysisManager::invalidate_all) force-drop
+//! regardless of fingerprints: iterative passes (`sink`, `dee-strict`)
+//! call `invalidate(f)` on each function they rewrite before querying it
+//! again, and fault rollback calls `invalidate_all`.
 //!
 //! ## Incremental refresh and the declaration contract
 //!
@@ -39,9 +36,9 @@
 //! `note_mutation(Funcs(ks))`, and at the next query re-hashes only the
 //! dirty functions, then re-propagates callee fingerprints from them up
 //! through their callers ([`Propagation::update`]). `All`, `None`,
-//! `Handled`, [`invalidate_all`](AnalysisManager::invalidate_all) and
-//! fault rollback (which calls `invalidate_all`) re-hash everything, as
-//! does any change to the set of functions. A pass like `sink`, which
+//! [`invalidate_all`](AnalysisManager::invalidate_all) and fault
+//! rollback (which calls `invalidate_all`) re-hash everything, as does
+//! any change to the set of functions. A pass like `sink`, which
 //! invalidates each function it rewrites and queries the next one, so
 //! costs O(size of the rewritten functions + F) per refresh instead of
 //! O(module size) — linear rather than quadratic in the module.
@@ -51,9 +48,7 @@
 //! * report `changed` on any edit (a silent edit is never re-hashed);
 //! * `Mutation::Funcs(ks)` must cover every function touched, and must
 //!   not add or remove functions or touch the context word (type and
-//!   extern tables): passes that do declare `All`;
-//! * `Handled` passes [`invalidate`](AnalysisManager::invalidate) each
-//!   function as they change it.
+//!   extern tables): passes that do declare `All`.
 //!
 //! Debug builds check the contract twice: every incremental refresh is
 //! compared against a full [`IrUnit::fingerprints`], and the runner
@@ -63,9 +58,10 @@
 //!
 //! The manager keeps hit/miss counters per analysis, plus a high-water
 //! mark of how many times any single `(function, analysis)` pair was
-//! computed between invalidations — the caching contract says this must
-//! be 1, and tests assert it stays there. A fingerprint-driven drop
-//! counts as an invalidation of that function for this contract.
+//! computed between drops of that entry — the caching contract says this
+//! must be 1, and tests assert it stays there. Entries are dropped (and
+//! their compute counts restarted) in one place, so a cache entry lost or
+//! mis-keyed anywhere else shows up as a count of 2.
 //!
 //! The manager also carries the (optional) cross-job
 //! [`CompileCache`] handle, so sharded executors can
@@ -128,8 +124,7 @@ pub struct FingerprintStats {
     /// declarations, performed lazily at the next query).
     pub refreshes: u64,
     /// Cached per-function entries that *survived* a refresh because
-    /// their function's fingerprint was unchanged — each one an analysis
-    /// the legacy scheme would have recomputed.
+    /// their function's fingerprint was unchanged.
     pub retained: u64,
     /// Cached per-function entries dropped because their function's
     /// fingerprint changed (or the function disappeared).
@@ -169,13 +164,9 @@ pub struct AnalysisManager<M: IrUnit> {
     kinds: Vec<TypeId>,
     module_cache: HashMap<TypeId, Rc<dyn Any>>,
     counters: BTreeMap<&'static str, CacheCounter>,
-    /// Per-function invalidation generation; bumped by `invalidate` and
-    /// by fingerprint-driven drops.
-    generation: HashMap<M::FuncKey, u64>,
-    /// Global epoch; bumped by `invalidate_all`.
-    epoch: u64,
-    /// Computes per `(function, analysis)` in the current generation.
-    computes: HashMap<(M::FuncKey, TypeId), (u64, u64, u64)>, // (epoch, gen, count)
+    /// Computes per `(function, analysis)` since that entry was last
+    /// dropped; restarted only by [`drop_entries`](Self::drop_entries).
+    computes: HashMap<(M::FuncKey, TypeId), u64>,
     invalidation_events: u64,
     /// Last known per-function fingerprints (empty until first refresh).
     fingerprints: HashMap<M::FuncKey, Fingerprint>,
@@ -195,10 +186,6 @@ pub struct AnalysisManager<M: IrUnit> {
     fp_dirty_funcs: HashSet<M::FuncKey>,
     /// A wholesale declaration since the last refresh: re-hash everything.
     fp_full: bool,
-    /// All mutations since the last refresh were `Mutation::Handled`
-    /// (the pass kept the cache coherent itself): keep entries instead
-    /// of dropping.
-    pending_handled_only: bool,
     fp_stats: FingerprintStats,
     /// Cross-job pass-output/lowering cache, when one is installed.
     compile_cache: Option<CompileCache>,
@@ -229,8 +216,6 @@ impl<M: IrUnit> AnalysisManager<M> {
             kinds: Vec::new(),
             module_cache: HashMap::new(),
             counters: BTreeMap::new(),
-            generation: HashMap::new(),
-            epoch: 0,
             computes: HashMap::new(),
             invalidation_events: 0,
             fingerprints: HashMap::new(),
@@ -243,49 +228,55 @@ impl<M: IrUnit> AnalysisManager<M> {
             fp_prop: Propagation::default(),
             fp_dirty_funcs: HashSet::new(),
             fp_full: true,
-            pending_handled_only: true,
             fp_stats: FingerprintStats::default(),
             compile_cache: None,
             cc_stats: CompileCacheStats::default(),
         }
     }
 
+    /// Drops function `f`'s cached analyses (every function's when
+    /// `None`) and restarts their compute counts, returning how many
+    /// entries went. The only place either happens, so an entry lost
+    /// anywhere else shows up in `max_computes_between_invalidations`.
+    fn drop_entries(&mut self, f: Option<M::FuncKey>) -> usize {
+        let before = self.cache.len();
+        match f {
+            Some(f) => {
+                for &kind in &self.kinds {
+                    self.cache.remove(&(f, kind));
+                    self.computes.remove(&(f, kind));
+                }
+            }
+            None => {
+                self.cache.clear();
+                self.computes.clear();
+            }
+        }
+        before - self.cache.len()
+    }
+
     /// Recomputes fingerprints if a mutation was declared since the last
     /// refresh, dropping exactly the entries whose function content
-    /// changed. No-op for IRs without fingerprint support.
+    /// changed.
     fn refresh(&mut self, m: &M) {
-        if !self.fp_dirty || !m.supports_fingerprints() {
+        if !self.fp_dirty {
             return;
         }
         self.fp_dirty = false;
-        let rebind = std::mem::replace(&mut self.pending_handled_only, true);
         let changed = self.recompute(m);
         if !self.fp_initialized {
             self.fp_initialized = true;
             return;
         }
         self.fp_stats.refreshes += 1;
-        if rebind {
-            // Every mutation since the last refresh was `Handled`: the
-            // pass kept results valid, so keep them.
-            return;
-        }
-        let before = self.cache.len();
-        for &f in &changed {
-            for &kind in &self.kinds {
-                self.cache.remove(&(f, kind));
-            }
-        }
-        let dropped = (before - self.cache.len()) as u64;
-        self.fp_stats.dropped += dropped;
+        let dropped: usize = changed
+            .into_iter()
+            .map(|f| self.drop_entries(Some(f)))
+            .sum();
+        self.fp_stats.dropped += dropped as u64;
         self.fp_stats.retained += self.cache.len() as u64;
         if dropped > 0 {
             self.invalidation_events += 1;
-        }
-        // A fingerprint-driven drop is an invalidation for the caching
-        // contract: recomputes start a fresh generation.
-        for f in changed {
-            *self.generation.entry(f).or_insert(0) += 1;
         }
     }
 
@@ -378,51 +369,27 @@ impl<M: IrUnit> AnalysisManager<M> {
     }
 
     /// Marks the manager stale after a pass reported `changed` with the
-    /// given mutation scope. For fingerprint-capable IRs every scope
-    /// (including the wholesale `All`/`None`) resolves lazily to
-    /// "drop what actually changed" at the next query; other IRs keep the
-    /// legacy push-invalidation semantics.
-    pub fn note_mutation(&mut self, m: &M, mutated: &Mutation<M>) {
-        if m.supports_fingerprints() {
-            self.fp_dirty = true;
-            match mutated {
-                // Only the declared functions need re-hashing.
-                Mutation::Funcs(fs) => self.fp_dirty_funcs.extend(fs.iter().copied()),
-                _ => self.fp_full = true,
-            }
-            if !matches!(mutated, Mutation::Handled) {
-                self.pending_handled_only = false;
-                // Module-wide analyses may aggregate anything (including
-                // shell state fingerprints cannot see): stay conservative.
-                self.module_cache.clear();
-            }
-            return;
-        }
+    /// given mutation scope: the next query re-hashes the declared
+    /// functions (everything, for `All`/`None`) and drops what actually
+    /// changed. Module-wide results are dropped now.
+    pub fn note_mutation(&mut self, mutated: &Mutation<M>) {
+        self.fp_dirty = true;
         match mutated {
-            Mutation::None | Mutation::All => self.invalidate_all(),
-            Mutation::Funcs(fs) => {
-                for &f in fs {
-                    self.invalidate(f);
-                }
-            }
-            Mutation::Handled => {}
+            Mutation::Funcs(fs) => self.fp_dirty_funcs.extend(fs.iter().copied()),
+            _ => self.fp_full = true,
         }
+        self.module_cache.clear();
     }
 
     /// Returns the current fingerprint of function `f`, refreshing if
-    /// stale. `None` when the IR does not support fingerprints or the
-    /// function is unknown.
-    pub fn fingerprint_of(&mut self, m: &M, f: M::FuncKey) -> Option<Fingerprint> {
-        if !m.supports_fingerprints() {
-            return None;
-        }
+    /// stale.
+    ///
+    /// # Panics
+    ///
+    /// If `f` is not a function of `m`.
+    pub fn fingerprint_of(&mut self, m: &M, f: M::FuncKey) -> Fingerprint {
         self.refresh(m);
-        if !self.fp_initialized {
-            // No mutation was ever declared: compute the initial map now.
-            self.fp_dirty = true;
-            self.refresh(m);
-        }
-        self.fingerprints.get(&f).copied()
+        self.fingerprints[&f]
     }
 
     /// Returns the cached result of analysis `A` for function `f`,
@@ -437,17 +404,11 @@ impl<M: IrUnit> AnalysisManager<M> {
                 .expect("analysis cache type");
         }
         let value: Rc<A::Output> = Rc::new(A::compute(m, f));
-        let gen = self.generation.get(&f).copied().unwrap_or(0);
-        let entry = self.computes.entry(key).or_insert((self.epoch, gen, 0));
-        if entry.0 == self.epoch && entry.1 == gen {
-            entry.2 += 1;
-        } else {
-            *entry = (self.epoch, gen, 1);
-        }
-        let count = entry.2;
+        let count = self.computes.entry(key).or_insert(0);
+        *count += 1;
         let ctr = self.counters.entry(A::NAME).or_default();
         ctr.misses += 1;
-        ctr.max_computes_between_invalidations = ctr.max_computes_between_invalidations.max(count);
+        ctr.max_computes_between_invalidations = ctr.max_computes_between_invalidations.max(*count);
         if !self.kinds.contains(&key.1) {
             self.kinds.push(key.1);
         }
@@ -475,29 +436,19 @@ impl<M: IrUnit> AnalysisManager<M> {
 
     /// Force-drops every cached analysis for function `f` (and all
     /// module-wide analyses, which may depend on it), regardless of
-    /// fingerprints.
+    /// fingerprints; the next query re-hashes `f`.
     pub fn invalidate(&mut self, f: M::FuncKey) {
-        *self.generation.entry(f).or_insert(0) += 1;
         self.invalidation_events += 1;
-        for &kind in &self.kinds {
-            self.cache.remove(&(f, kind));
-        }
-        self.module_cache.clear();
-        // The content may have changed under us: re-fingerprint lazily.
-        self.fp_dirty = true;
-        self.fp_dirty_funcs.insert(f);
-        self.pending_handled_only = false;
+        self.drop_entries(Some(f));
+        self.note_mutation(&Mutation::Funcs(vec![f]));
     }
 
-    /// Force-drops every cached analysis.
+    /// Force-drops every cached analysis; the next query re-hashes the
+    /// whole module.
     pub fn invalidate_all(&mut self) {
-        self.epoch += 1;
         self.invalidation_events += 1;
-        self.cache.clear();
-        self.module_cache.clear();
-        self.fp_dirty = true;
-        self.fp_full = true;
-        self.pending_handled_only = false;
+        self.drop_entries(None);
+        self.note_mutation(&Mutation::All);
     }
 
     /// Hit/miss counters per analysis name.

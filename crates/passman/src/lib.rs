@@ -12,8 +12,9 @@
 //!   mutated (its *analysis invalidation* declaration);
 //! * [`AnalysisManager`] — lazily computes and caches per-function
 //!   [`Analysis`] results (and module-wide [`ModuleAnalysis`] results),
-//!   invalidating them only when a pass declares a mutation, with hit/miss
-//!   counters surfaced in the final report;
+//!   dropping a function's results only when a declared mutation moved
+//!   its content fingerprint, with hit/miss counters surfaced in the
+//!   final report;
 //! * [`PipelineSpec`] — an LLVM `-passes=`-style textual pipeline
 //!   description, e.g. `"constprop,dee,fixpoint(simplify,sink,dce)"`,
 //!   where `fixpoint(...)` iterates its body to convergence using each
@@ -23,7 +24,8 @@
 //!   offending pass on failure), and producing a unified [`RunReport`].
 //!
 //! The framework is IR-agnostic: anything implementing [`IrUnit`] (a way
-//! to enumerate function keys) can be driven by it.
+//! to enumerate function keys and fingerprint each function) can be
+//! driven by it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -41,6 +43,8 @@ pub mod runner;
 pub mod snapshot;
 pub mod spec;
 pub mod stage;
+#[cfg(test)]
+mod toy;
 
 pub use analysis::{Analysis, AnalysisManager, CacheCounter, FingerprintStats, ModuleAnalysis};
 pub use budget::{BudgetViolation, Budgets};
@@ -63,7 +67,12 @@ use std::fmt::Debug;
 use std::hash::Hash;
 
 /// An IR unit a pass pipeline can run over: a module-like container with
-/// enumerable per-function keys.
+/// enumerable per-function keys and per-function content fingerprints.
+///
+/// The fingerprints are what the [`AnalysisManager`] validates cached
+/// analyses against (and what the [`CompileCache`] keys pass outputs
+/// by), so every unit provides a [`local_fingerprint`](IrUnit::local_fingerprint)
+/// that moves whenever the function's content does.
 ///
 /// `FuncKey` is `Ord + Send + Sync` so the sharded executor
 /// ([`parallel`]) can partition the key set deterministically and share
@@ -82,25 +91,11 @@ pub trait IrUnit {
         0
     }
 
-    /// Whether this IR produces content [`Fingerprint`]s — the cheap
-    /// probe callers check before paying for
-    /// [`fingerprints`](IrUnit::fingerprints). Defaults to `false`:
-    /// units that opt out keep the analysis manager's legacy
-    /// generation-counter invalidation.
-    fn supports_fingerprints(&self) -> bool {
-        false
-    }
-
     /// The local part of function `f`'s fingerprint: its own structural
     /// hash and its callees as positions in
-    /// [`func_keys`](IrUnit::func_keys). Only called when
-    /// [`supports_fingerprints`](IrUnit::supports_fingerprints) is
-    /// `true`; the analysis manager memoizes it per function and re-asks
-    /// only for functions declared mutated.
-    fn local_fingerprint(&self, f: Self::FuncKey) -> LocalFingerprint {
-        let _ = f;
-        LocalFingerprint::default()
-    }
+    /// [`func_keys`](IrUnit::func_keys). The analysis manager memoizes it
+    /// per function and re-asks only for functions declared mutated.
+    fn local_fingerprint(&self, f: Self::FuncKey) -> LocalFingerprint;
 
     /// A module-wide word folded into every function's fingerprint
     /// (e.g. a hash of the type and extern tables), or `None`. Passes
@@ -113,11 +108,8 @@ pub trait IrUnit {
     /// [`func_keys`](IrUnit::func_keys) order (see [`fingerprint`] for
     /// the contract: deterministic, renumbering-insensitive, sensitive to
     /// op/type/callee edits): every local part, propagated over the
-    /// callgraph. Empty when fingerprints are not supported.
+    /// callgraph.
     fn fingerprints(&self) -> Vec<(Self::FuncKey, Fingerprint)> {
-        if !self.supports_fingerprints() {
-            return Vec::new();
-        }
         let keys = self.func_keys();
         let locals: Vec<LocalFingerprint> =
             keys.iter().map(|&k| self.local_fingerprint(k)).collect();

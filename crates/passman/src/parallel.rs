@@ -392,8 +392,7 @@ impl<M: ShardedIr, P: FuncPass<M>> Pass<M> for FuncPassAdapter<M, P> {
         // cache (see cache.rs coherence rules); contained *real* panics
         // are deterministic and simply never populate an entry.
         let cache = am.compile_cache().cloned();
-        let use_cache =
-            cache.is_some() && m.supports_fingerprints() && self.cx.inject_func_panic.is_none();
+        let use_cache = cache.is_some() && self.cx.inject_func_panic.is_none();
         let domain = format!("pass:{}:{}", std::any::type_name::<M>(), self.pass.name());
         let mut fps: Vec<Option<Fingerprint>> = vec![None; n];
         let mut cached: Vec<Option<PassEntry<M::Func>>> = Vec::new();
@@ -402,9 +401,7 @@ impl<M: ShardedIr, P: FuncPass<M>> Pass<M> for FuncPassAdapter<M, P> {
             let cache = cache.as_ref().expect("use_cache implies cache");
             let mut delta = CompileCacheStats::default();
             for (i, &k) in keys.iter().enumerate() {
-                let Some(fp) = am.fingerprint_of(m, k) else {
-                    continue;
-                };
+                let fp = am.fingerprint_of(m, k);
                 fps[i] = Some(fp);
                 match cache.lookup::<PassEntry<M::Func>>(&domain, fp) {
                     Some(e) => {

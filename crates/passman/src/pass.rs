@@ -10,8 +10,10 @@ use std::rc::Rc;
 
 /// Which functions a pass mutated — its analysis-invalidation declaration.
 ///
-/// The [`AnalysisManager`] drops cached analyses only for the declared
-/// functions; an imprecise pass should declare [`Mutation::All`].
+/// The [`AnalysisManager`] re-hashes only the declared functions and
+/// drops the cached analyses of those whose content fingerprint moved; a
+/// pass that cannot name what it touched should declare
+/// [`Mutation::All`]. Debug builds audit `Funcs` declarations.
 pub enum Mutation<M: IrUnit> {
     /// Nothing changed; all cached analyses stay valid.
     None,
@@ -19,11 +21,6 @@ pub enum Mutation<M: IrUnit> {
     Funcs(Vec<M::FuncKey>),
     /// Assume everything changed (also covers added/removed functions).
     All,
-    /// The pass invalidated the manager itself as it rewrote (the
-    /// pattern for iterative passes that refetch analyses mid-run); the
-    /// runner must not invalidate again, or the final — still valid —
-    /// cached analyses would be lost.
-    Handled,
 }
 
 impl<M: IrUnit> Clone for Mutation<M> {
@@ -32,7 +29,6 @@ impl<M: IrUnit> Clone for Mutation<M> {
             Mutation::None => Mutation::None,
             Mutation::Funcs(fs) => Mutation::Funcs(fs.clone()),
             Mutation::All => Mutation::All,
-            Mutation::Handled => Mutation::Handled,
         }
     }
 }
@@ -43,7 +39,6 @@ impl<M: IrUnit> std::fmt::Debug for Mutation<M> {
             Mutation::None => f.write_str("None"),
             Mutation::Funcs(fs) => f.debug_tuple("Funcs").field(fs).finish(),
             Mutation::All => f.write_str("All"),
-            Mutation::Handled => f.write_str("Handled"),
         }
     }
 }
@@ -51,9 +46,7 @@ impl<M: IrUnit> std::fmt::Debug for Mutation<M> {
 impl<M: IrUnit> PartialEq for Mutation<M> {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
-            (Mutation::None, Mutation::None)
-            | (Mutation::All, Mutation::All)
-            | (Mutation::Handled, Mutation::Handled) => true,
+            (Mutation::None, Mutation::None) | (Mutation::All, Mutation::All) => true,
             (Mutation::Funcs(a), Mutation::Funcs(b)) => a == b,
             _ => false,
         }
@@ -193,7 +186,7 @@ pub trait Pass<M: IrUnit> {
     }
 
     /// Runs the pass. Analyses should be requested through `am` so they
-    /// are shared with other passes; the runner invalidates `am`
+    /// are shared with other passes; the runner marks `am` stale
     /// according to the outcome's [`Mutation`].
     fn run(&mut self, m: &mut M, am: &mut AnalysisManager<M>) -> Result<PassOutcome<M>, PassError>;
 }

@@ -54,9 +54,8 @@ impl<'q, M: IrUnit> QueryCtx<'q, M> {
         self.key
     }
 
-    /// The function's current content fingerprint (`None` when the IR
-    /// does not support fingerprints).
-    pub fn fingerprint(&mut self) -> Option<Fingerprint> {
+    /// The function's current content fingerprint.
+    pub fn fingerprint(&mut self) -> Fingerprint {
         self.am.fingerprint_of(self.m, self.key)
     }
 

@@ -98,8 +98,7 @@ pub struct RunReport {
     /// Cross-job compile-cache hit/skip/miss counters for this run
     /// (all-zero when no [`CompileCache`] was installed).
     pub compile_cache: CompileCacheStats,
-    /// Fingerprint-retention counters for this run (all-zero for IRs
-    /// without fingerprint support).
+    /// Fingerprint-retention counters for this run.
     pub fingerprints: FingerprintStats,
 }
 
@@ -322,15 +321,13 @@ struct SymVerifier<M> {
 type AuditSnapshot<K> = (Option<u64>, Vec<(K, LocalFingerprint)>);
 
 #[cfg(debug_assertions)]
-fn audit_snapshot<M: IrUnit>(m: &M) -> Option<AuditSnapshot<M::FuncKey>> {
-    m.supports_fingerprints().then(|| {
-        let locals = m
-            .func_keys()
-            .into_iter()
-            .map(|k| (k, m.local_fingerprint(k)))
-            .collect();
-        (m.fingerprint_context(), locals)
-    })
+fn audit_snapshot<M: IrUnit>(m: &M) -> AuditSnapshot<M::FuncKey> {
+    let locals = m
+        .func_keys()
+        .into_iter()
+        .map(|k| (k, m.local_fingerprint(k)))
+        .collect();
+    (m.fingerprint_context(), locals)
 }
 
 /// The declaration audit (debug builds only): the incremental
@@ -338,7 +335,7 @@ fn audit_snapshot<M: IrUnit>(m: &M) -> Option<AuditSnapshot<M::FuncKey>> {
 /// reporting `changed = false` must have moved nothing, and one
 /// reporting `Mutation::Funcs(ks)` nothing outside `ks` — no other
 /// function, no function added or removed, no change to the context
-/// word. `All`, `None` and `Handled` are followed by a full re-hash and
+/// word. `All` and `None` are followed by a full re-hash and
 /// need no audit.
 #[cfg(debug_assertions)]
 fn audit_declaration<M: IrUnit>(
@@ -352,7 +349,7 @@ fn audit_declaration<M: IrUnit>(
         (Mutation::Funcs(ks), true) => ks,
         _ => return,
     };
-    let (context, locals) = audit_snapshot(m).expect("fingerprint support is fixed per IR");
+    let (context, locals) = audit_snapshot(m);
     let scope = format!("changed={} {:?}", outcome.changed, outcome.mutated);
     assert!(
         context == before.0,
@@ -898,16 +895,11 @@ impl<M: IrUnit> PassManager<M> {
             }
             Ok(Ok(outcome)) => {
                 #[cfg(debug_assertions)]
-                if let Some(before) = &audit_before {
-                    audit_declaration(name, before, m, &outcome);
-                }
+                audit_declaration(name, &audit_before, m, &outcome);
                 if outcome.changed {
-                    // Fingerprint-capable IRs resolve every scope lazily
-                    // ("drop what actually changed") at the next query;
-                    // others get the legacy push-invalidation (wholesale
-                    // for `None`/`All`, per-function for `Funcs`,
-                    // nothing for `Handled`).
-                    am.note_mutation(m, &outcome.mutated);
+                    // Resolved lazily ("drop what actually changed") at
+                    // the next query.
+                    am.note_mutation(&outcome.mutated);
                 }
 
                 // Verification (a forced injection counts as a failure).
@@ -1143,22 +1135,7 @@ mod tests {
     use super::*;
     use crate::pass::{FnPass, PassOutcome};
     use crate::spec::PassOptions;
-
-    /// A toy IR: one "function" per vector slot holding a counter.
-    #[derive(Clone, Debug, Default, PartialEq, Eq)]
-    struct Toy {
-        vals: Vec<i64>,
-    }
-
-    impl IrUnit for Toy {
-        type FuncKey = usize;
-        fn func_keys(&self) -> Vec<usize> {
-            (0..self.vals.len()).collect()
-        }
-        fn size_hint(&self) -> usize {
-            self.vals.len()
-        }
-    }
+    use crate::toy::Toy;
 
     struct Sum;
     impl crate::Analysis<Toy> for Sum {
@@ -1319,6 +1296,54 @@ mod tests {
         assert_eq!(c.misses, 4, "2 funcs × (initial + post-mutation)");
         assert_eq!(c.hits, 2, "second observe is fully cached");
         assert_eq!(c.max_computes_between_invalidations, 1);
+    }
+
+    #[test]
+    fn unchanged_functions_keep_their_analyses() {
+        let pm = PassManager::new(registry());
+        // dec declares `All` but moves only slot 1: slot 0's fingerprint
+        // holds, so its entry survives.
+        let mut m = Toy { vals: vec![0, 2] };
+        let spec = PipelineSpec::parse("observe,dec,observe").unwrap();
+        let report = pm.run(&mut m, &spec).unwrap();
+        let c = report.cache_counter("sum");
+        assert_eq!((c.hits, c.misses), (1, 3));
+        assert_eq!(report.fingerprints.retained, 1);
+        assert_eq!(report.fingerprints.dropped, 1);
+    }
+
+    /// A pass that edits slot 1 while declaring `Funcs([0])`.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "mutated undeclared function 1")]
+    fn audit_catches_an_undeclared_function_edit() {
+        let mut r = registry();
+        r.register("liar", || {
+            Box::new(FnPass::infallible("liar", |m: &mut Toy, _| {
+                m.vals[1] += 1;
+                PassOutcome::from_stats(vec![("edited", 1)]).with_mutated(Mutation::Funcs(vec![0]))
+            }))
+        });
+        let mut m = Toy { vals: vec![1, 2] };
+        let spec = PipelineSpec::parse("liar").unwrap();
+        let _ = PassManager::new(r).run(&mut m, &spec);
+    }
+
+    /// A pass that edits a slot while reporting `changed = false`.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "mutated undeclared function 0")]
+    fn audit_catches_an_edit_reported_unchanged() {
+        let mut r = registry();
+        r.register("silent", || {
+            Box::new(FnPass::infallible("silent", |m: &mut Toy, _| {
+                m.vals[0] += 1;
+                PassOutcome::unchanged()
+            }))
+        });
+        let mut m = Toy { vals: vec![1, 2] };
+        let spec = PipelineSpec::parse("silent").unwrap();
+        let _ = PassManager::new(r).run(&mut m, &spec);
     }
 
     #[test]
@@ -1673,33 +1698,7 @@ mod tests {
 
     // ---- function-sharded execution ----------------------------------
 
-    use crate::parallel::{FuncOutcome, FuncPass, FuncPassAdapter, ShardedIr};
-
-    impl ShardedIr for Toy {
-        type Func = i64;
-        fn detach_funcs(&mut self) -> Vec<(usize, i64)> {
-            std::mem::take(&mut self.vals)
-                .into_iter()
-                .enumerate()
-                .collect()
-        }
-        fn attach_funcs(&mut self, funcs: Vec<(usize, i64)>) {
-            assert!(self.vals.is_empty());
-            for (i, (k, v)) in funcs.into_iter().enumerate() {
-                assert_eq!(i, k, "functions re-attach in key order");
-                self.vals.push(v);
-            }
-        }
-        fn clone_func(&self, key: usize) -> i64 {
-            self.vals[key]
-        }
-        fn restore_func(&mut self, key: usize, func: i64) {
-            self.vals[key] = func;
-        }
-        fn func_size_hint(&self, _key: usize) -> usize {
-            1
-        }
-    }
+    use crate::parallel::{FuncOutcome, FuncPass, FuncPassAdapter};
 
     /// Function-scoped `dec`: decrements one positive slot.
     struct FDec;

@@ -14,7 +14,7 @@
 //!   functions, and clones made for an earlier pass are *reused* while
 //!   those functions stay unmutated (commit keeps entries whose function
 //!   did not change), falling back to a full module clone only for
-//!   `Mutation::All`/`Handled` scopes.
+//!   `Mutation::All` scopes.
 //!
 //! Both engines meter their work ([`SnapshotStats`] cumulative,
 //! [`SnapshotCost`] per capture) in "units" — the implementor's
@@ -146,8 +146,8 @@ impl<M: IrUnit + Clone> SnapshotEngine<M> for FullCloneEngine<M> {
 /// Keeps a pool of pre-pass function clones keyed by function id. A
 /// `Mutation::Funcs(keys)` capture clones only pool-missing keys; commit
 /// evicts exactly the functions the pass reported mutated, so clean
-/// functions carry their clone across passes for free. Scopes that may
-/// touch the module shell (`All`, `Handled`) fall back to a full module
+/// functions carry their clone across passes for free. An `All` scope
+/// (the pass may touch the module shell) falls back to a full module
 /// clone, preserving the legacy guarantee.
 #[derive(Debug)]
 pub struct CowEngine<M: ShardedIr> {
@@ -221,7 +221,7 @@ impl<M: ShardedIr + Clone> SnapshotEngine<M> for CowEngine<M> {
                     time: t0.elapsed(),
                 };
             }
-            Mutation::All | Mutation::Handled => {
+            Mutation::All => {
                 // The pass may restructure the module shell: only a full
                 // clone is safe, and the per-function pool is void.
                 self.scope.clear();
@@ -270,7 +270,7 @@ impl<M: ShardedIr + Clone> SnapshotEngine<M> for CowEngine<M> {
                     self.pool.remove(k);
                 }
             }
-            Mutation::All | Mutation::Handled => {
+            Mutation::All => {
                 self.pool.clear();
             }
         }
@@ -288,48 +288,7 @@ impl<M: ShardedIr + Clone> SnapshotEngine<M> for CowEngine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Minimal sharded IR: functions are plain integers.
-    #[derive(Clone, Debug, Default, PartialEq)]
-    struct Toy {
-        vals: Vec<i64>,
-    }
-
-    impl IrUnit for Toy {
-        type FuncKey = usize;
-        fn func_keys(&self) -> Vec<usize> {
-            (0..self.vals.len()).collect()
-        }
-        fn size_hint(&self) -> usize {
-            self.vals.len()
-        }
-    }
-
-    impl ShardedIr for Toy {
-        type Func = i64;
-        fn detach_funcs(&mut self) -> Vec<(usize, i64)> {
-            std::mem::take(&mut self.vals)
-                .into_iter()
-                .enumerate()
-                .collect()
-        }
-        fn attach_funcs(&mut self, funcs: Vec<(usize, i64)>) {
-            assert!(self.vals.is_empty());
-            for (i, (k, v)) in funcs.into_iter().enumerate() {
-                assert_eq!(i, k);
-                self.vals.push(v);
-            }
-        }
-        fn clone_func(&self, key: usize) -> i64 {
-            self.vals[key]
-        }
-        fn restore_func(&mut self, key: usize, func: i64) {
-            self.vals[key] = func;
-        }
-        fn func_size_hint(&self, _key: usize) -> usize {
-            1
-        }
-    }
+    use crate::toy::Toy;
 
     #[test]
     fn cow_clones_only_the_declared_functions() {

@@ -378,49 +378,24 @@ impl<A: IrUnit + Clone, B: IrUnit> LowerStage<A, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::toy::Toy;
 
-    /// Toy source IR: a bag of numbers.
-    #[derive(Clone, Debug, PartialEq)]
-    struct Src {
-        vals: Vec<i64>,
-    }
-    impl IrUnit for Src {
-        type FuncKey = usize;
-        fn func_keys(&self) -> Vec<usize> {
-            (0..self.vals.len()).collect()
-        }
-        fn size_hint(&self) -> usize {
-            self.vals.len()
-        }
-    }
+    type DoubleResult = Result<(Toy, Vec<(&'static str, i64)>), String>;
 
-    /// Toy target IR: the numbers, doubled.
-    #[derive(Clone, Debug, PartialEq)]
-    struct Dst {
-        vals: Vec<i64>,
-    }
-    impl IrUnit for Dst {
-        type FuncKey = usize;
-        fn func_keys(&self) -> Vec<usize> {
-            (0..self.vals.len()).collect()
-        }
-    }
-
-    type DoubleResult = Result<(Dst, Vec<(&'static str, i64)>), String>;
-
-    fn double(src: &mut Src) -> DoubleResult {
+    /// The toy "lowering": every number, doubled.
+    fn double(src: &mut Toy) -> DoubleResult {
         let vals: Vec<i64> = src.vals.iter().map(|v| v * 2).collect();
         let n = vals.len() as i64;
-        Ok((Dst { vals }, vec![("lowered", n)]))
+        Ok((Toy { vals }, vec![("lowered", n)]))
     }
 
     #[test]
     fn success_appends_a_pass_run_and_returns_the_output() {
-        let mut src = Src {
+        let mut src = Toy {
             vals: vec![1, 2, 3],
         };
         let mut report = RunReport::default();
-        let stage = LowerStage::<Src, Dst>::new();
+        let stage = LowerStage::<Toy, Toy>::new();
         let out = stage.run(&mut src, &mut report, 0, double).unwrap();
         match out {
             StageOutcome::Lowered(d) => assert_eq!(d.vals, vec![2, 4, 6]),
@@ -436,9 +411,9 @@ mod tests {
 
     #[test]
     fn body_error_aborts_with_pass_failed() {
-        let mut src = Src { vals: vec![1] };
+        let mut src = Toy { vals: vec![1] };
         let mut report = RunReport::default();
-        let stage = LowerStage::<Src, Dst>::new();
+        let stage = LowerStage::<Toy, Toy>::new();
         let err = stage
             .run(&mut src, &mut report, 0, |_| Err("unsupported".into()))
             .unwrap_err();
@@ -448,10 +423,10 @@ mod tests {
 
     #[test]
     fn output_verifier_failure_aborts_with_verify_failed() {
-        let mut src = Src { vals: vec![1] };
+        let mut src = Toy { vals: vec![1] };
         let mut report = RunReport::default();
         let stage =
-            LowerStage::<Src, Dst>::new().with_output_verifier(|_d: &Dst| Err("bad output".into()));
+            LowerStage::<Toy, Toy>::new().with_output_verifier(|_d: &Toy| Err("bad output".into()));
         let err = stage.run(&mut src, &mut report, 0, double).unwrap_err();
         assert!(
             matches!(err, RunError::VerifyFailed { ref message, .. } if message == "bad output")
@@ -460,10 +435,10 @@ mod tests {
 
     #[test]
     fn cross_check_failure_is_a_verify_fault() {
-        let mut src = Src { vals: vec![1] };
+        let mut src = Toy { vals: vec![1] };
         let mut report = RunReport::default();
-        let stage = LowerStage::<Src, Dst>::new()
-            .with_cross_check(|_a: &Src, _b: &Dst| Err("interp disagreement".into()));
+        let stage = LowerStage::<Toy, Toy>::new()
+            .with_cross_check(|_a: &Toy, _b: &Toy| Err("interp disagreement".into()));
         let err = stage.run(&mut src, &mut report, 0, double).unwrap_err();
         match err {
             RunError::VerifyFailed { message, .. } => {
@@ -476,12 +451,12 @@ mod tests {
 
     #[test]
     fn panic_under_skip_rolls_back_and_degrades() {
-        let mut src = Src { vals: vec![7, 8] };
+        let mut src = Toy { vals: vec![7, 8] };
         let before = src.clone();
         let mut report = RunReport::default();
-        let stage = LowerStage::<Src, Dst>::new().on_fault(FaultPolicy::SkipPass);
+        let stage = LowerStage::<Toy, Toy>::new().on_fault(FaultPolicy::SkipPass);
         let out = stage
-            .run(&mut src, &mut report, 2, |s: &mut Src| {
+            .run(&mut src, &mut report, 2, |s: &mut Toy| {
                 s.vals.clear(); // corrupt the input, then die
                 panic!("lowering landmine");
             })
@@ -513,9 +488,9 @@ mod tests {
             ("verify@lower", "verify"),
             ("budget@lower", "budget"),
         ] {
-            let mut src = Src { vals: vec![1] };
+            let mut src = Toy { vals: vec![1] };
             let mut report = RunReport::default();
-            let stage = LowerStage::<Src, Dst>::new()
+            let stage = LowerStage::<Toy, Toy>::new()
                 .on_fault(FaultPolicy::StopPipeline)
                 .with_fault_injection(plan.parse().unwrap());
             let out = stage.run(&mut src, &mut report, 0, double).unwrap();
@@ -540,9 +515,9 @@ mod tests {
 
     #[test]
     fn injection_targeting_other_stage_does_not_fire() {
-        let mut src = Src { vals: vec![1] };
+        let mut src = Toy { vals: vec![1] };
         let mut report = RunReport::default();
-        let stage = LowerStage::<Src, Dst>::new()
+        let stage = LowerStage::<Toy, Toy>::new()
             .on_fault(FaultPolicy::SkipPass)
             .with_fault_injection("panic@dce".parse().unwrap());
         let out = stage.run(&mut src, &mut report, 0, double).unwrap();
@@ -552,12 +527,12 @@ mod tests {
 
     #[test]
     fn pass_time_budget_is_enforced() {
-        let mut src = Src { vals: vec![1] };
+        let mut src = Toy { vals: vec![1] };
         let mut report = RunReport::default();
         let stage =
-            LowerStage::<Src, Dst>::new().with_budgets(Budgets::parse("pass-ms=0").unwrap());
+            LowerStage::<Toy, Toy>::new().with_budgets(Budgets::parse("pass-ms=0").unwrap());
         let err = stage
-            .run(&mut src, &mut report, 0, |s: &mut Src| {
+            .run(&mut src, &mut report, 0, |s: &mut Toy| {
                 std::thread::sleep(Duration::from_millis(5));
                 double(s)
             })

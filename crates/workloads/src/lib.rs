@@ -30,6 +30,7 @@ pub mod mcf;
 pub mod mcf_ir;
 pub mod optlike;
 pub mod optlike_ir;
+mod rng;
 pub mod smallbank;
 pub mod smallbank_ir;
 pub mod suite;

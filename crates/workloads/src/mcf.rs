@@ -22,6 +22,7 @@
 //! * layouts: baseline 72 B → FE 64 B → DFE 64 B → FE+DFE **56 B** (the
 //!   paper's packed size).
 
+use crate::rng::Rng;
 use memoir_runtime::{stats, Assoc, ObjRef, ObjectHeap, Seq};
 
 /// Workload parameters.
@@ -111,21 +112,9 @@ fn layout_bytes(v: McfVariant) -> u64 {
     b
 }
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut s = self.0;
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        self.0 = s;
-        s
-    }
-
-    fn cost(&mut self) -> i64 {
-        ((self.next() >> 33) & 0x3FFF) as i64
-    }
+/// An arc cost in `0..16384`.
+fn arc_cost(rng: &mut Rng) -> i64 {
+    ((rng.next() >> 33) & 0x3FFF) as i64
 }
 
 /// Side storage for the elided `ident` field.
@@ -161,7 +150,7 @@ pub fn run_mcf(p: &McfParams, v: McfVariant) -> McfOutcome {
                      specials: &mut Seq<ObjRef>,
                      special_count: &mut u64|
      -> (i64, ObjRef) {
-        let cost = rng.cost();
+        let cost = arc_cost(rng);
         let special = rng.next().is_multiple_of(SPECIAL_EVERY);
         let ident = rng.next();
         let r = heap.alloc(Arc {

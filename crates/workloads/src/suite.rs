@@ -5,6 +5,7 @@
 //! to run in milliseconds; the *proportions* of the traffic are the
 //! experiment (DESIGN.md E1).
 
+use crate::rng::Rng;
 use crate::{deepsjeng, mcf, smallbank};
 use memoir_runtime::{stats, Assoc, CollectionClass, ObjectHeap, RawBuf, Seq};
 
@@ -15,19 +16,6 @@ pub struct SuiteResult {
     pub name: &'static str,
     /// The ledger after the run.
     pub ledger: stats::Ledger,
-}
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut s = self.0;
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        self.0 = s;
-        s
-    }
 }
 
 /// Runs the full suite, returning one result per workload.
