@@ -1,13 +1,11 @@
-//! Compile-time profile: serial vs sharded pass execution, and
-//! copy-on-write vs full-clone snapshots, over the Table III subjects
-//! plus a lowered low-level-IR subject.
+//! Compile-time profile: serial vs sharded pass execution over the
+//! Table III subjects plus a lowered low-level-IR subject.
 //!
 //! Emits `BENCH_compile_time.json`: per subject × mode, the per-pass
-//! wall-clock times, the total, and the snapshot-engine counters. The
-//! three modes are `serial` (1 thread, CoW snapshots), `threads4`
-//! (4 workers, CoW snapshots) and `full-clone` (1 thread, whole-module
-//! clone snapshots — the recovery baseline CoW replaces). All modes run
-//! under the `SkipPass` policy so snapshots are actually taken.
+//! wall-clock times, the total, and the copy-on-write snapshot-engine
+//! counters. The two modes are `serial` (1 thread) and `threads4`
+//! (4 workers). Both run under the `SkipPass` policy so snapshots are
+//! actually taken.
 //!
 //! Also emits `BENCH_incremental.json`: warm-cache recompiles through a
 //! shared [`passman::CompileCache`]. Each subject compiles the synthetic
@@ -27,10 +25,12 @@
 //! ```
 //!
 //! `--check` asserts the invariants CI smokes: non-zero pass timings,
-//! byte-identical IR between serial and sharded runs, strictly fewer
-//! units cloned by CoW than by the full-clone baseline, and — for the
-//! incremental section — ≥ 90% cache reuse and byte-identical output on
-//! the unchanged-module recompile; and that the 240-function subject's
+//! byte-identical IR between serial and sharded runs, fewer units
+//! cloned than whole-module snapshots would have (captures × the input
+//! module's instruction count) on the lir and lowered subjects, where
+//! every lir pass is function-sharded, and — for the incremental
+//! section — ≥ 90% cache reuse and byte-identical output on the
+//! unchanged-module recompile; and that the 240-function subject's
 //! time per instruction is at most [`SCALING_BOUND`] times the
 //! 120-function subject's.
 
@@ -51,7 +51,6 @@ const SCALING_FUNCS: [usize; 2] = [120, 240];
 struct ModeResult {
     mode: &'static str,
     threads: usize,
-    engine: &'static str,
     total_ms: f64,
     passes: Vec<(String, f64)>,
     snapshots: SnapshotStats,
@@ -59,22 +58,16 @@ struct ModeResult {
     ir: String,
 }
 
-fn run_memoir(m: &memoir_ir::Module, mode: &'static str, threads: usize, cow: bool) -> ModeResult {
+fn run_memoir(m: &memoir_ir::Module, mode: &'static str, threads: usize) -> ModeResult {
     let mut m = m.clone();
     let report = compile_spec_with(&mut m, &default_spec(o3_all()), |pm| {
-        let pm = pm.on_fault(FaultPolicy::SkipPass).with_threads(threads);
-        if cow {
-            pm // pass_manager() installs the CoW engine by default
-        } else {
-            pm.with_full_clone_snapshots()
-        }
+        pm.on_fault(FaultPolicy::SkipPass).with_threads(threads)
     })
     .expect("pipeline runs clean");
     let run = report.run;
     ModeResult {
         mode,
         threads,
-        engine: if cow { "cow" } else { "full-clone" },
         total_ms: run.total_ms(),
         passes: run
             .passes
@@ -86,23 +79,16 @@ fn run_memoir(m: &memoir_ir::Module, mode: &'static str, threads: usize, cow: bo
     }
 }
 
-fn run_lir(m: &lir::Module, mode: &'static str, threads: usize, cow: bool) -> ModeResult {
+fn run_lir(m: &lir::Module, mode: &'static str, threads: usize) -> ModeResult {
     let mut m = m.clone();
-    let pm = lir::passes::pass_manager()
+    let run = lir::passes::pass_manager()
         .on_fault(FaultPolicy::SkipPass)
-        .with_threads(threads);
-    let pm = if cow {
-        pm
-    } else {
-        pm.with_full_clone_snapshots()
-    };
-    let run = pm
+        .with_threads(threads)
         .run(&mut m, &lir::passes::default_spec())
         .expect("pipeline runs clean");
     ModeResult {
         mode,
         threads,
-        engine: if cow { "cow" } else { "full-clone" },
         total_ms: run.total_ms(),
         passes: run
             .passes
@@ -117,7 +103,7 @@ fn run_lir(m: &lir::Module, mode: &'static str, threads: usize, cow: bool) -> Mo
 /// The end-to-end lowered pipeline: MEMOIR passes → the verified `lower`
 /// stage → the default lir pipeline, profiled as one run (the stage shows
 /// up as the `lower` row in `passes`).
-fn run_lowered(m: &memoir_ir::Module, mode: &'static str, threads: usize, cow: bool) -> ModeResult {
+fn run_lowered(m: &memoir_ir::Module, mode: &'static str, threads: usize) -> ModeResult {
     let mut m = m.clone();
     let pipeline = LoweredPipeline {
         memoir: default_spec(o3_all()),
@@ -127,7 +113,6 @@ fn run_lowered(m: &memoir_ir::Module, mode: &'static str, threads: usize, cow: b
     let cfg = LowerConfig {
         policy: FaultPolicy::SkipPass,
         threads,
-        full_clone_snapshots: !cow,
         ..LowerConfig::default()
     };
     let out = compile_lowered_with(&mut m, &pipeline, &cfg).expect("pipeline runs clean");
@@ -136,7 +121,6 @@ fn run_lowered(m: &memoir_ir::Module, mode: &'static str, threads: usize, cow: b
     ModeResult {
         mode,
         threads,
-        engine: if cow { "cow" } else { "full-clone" },
         total_ms: run.total_ms(),
         passes: run
             .passes
@@ -270,13 +254,12 @@ fn mode_json(r: &ModeResult) -> String {
         .collect();
     let s = r.snapshots;
     format!(
-        "{{\"mode\": \"{}\", \"threads\": {}, \"snapshot_engine\": \"{}\", \
+        "{{\"mode\": \"{}\", \"threads\": {}, \
          \"total_ms\": {:.6}, \"passes\": [{}], \"snapshots\": {{\
          \"captures\": {}, \"full_clones\": {}, \"funcs_cloned\": {}, \
          \"funcs_reused\": {}, \"units_cloned\": {}, \"restores\": {}}}}}",
         r.mode,
         r.threads,
-        r.engine,
         r.total_ms,
         passes.join(", "),
         s.captures,
@@ -297,16 +280,14 @@ fn main() {
         .to_string();
     let check = args.check;
 
-    let mut subjects: Vec<(String, &'static str, Vec<ModeResult>)> = Vec::new();
+    // Per subject: name, IR, input-module instruction count, modes.
+    let mut subjects: Vec<(String, &'static str, usize, Vec<ModeResult>)> = Vec::new();
     for (name, m) in compilation_subjects() {
         subjects.push((
             name.to_string(),
             "memoir",
-            vec![
-                run_memoir(&m, "serial", 1, true),
-                run_memoir(&m, "threads4", 4, true),
-                run_memoir(&m, "full-clone", 1, false),
-            ],
+            m.inst_count(),
+            vec![run_memoir(&m, "serial", 1), run_memoir(&m, "threads4", 4)],
         ));
     }
     // One low-level-IR subject, where every pass is function-sharded: the
@@ -316,11 +297,8 @@ fn main() {
     subjects.push((
         "synthetic (lir)".to_string(),
         "lir",
-        vec![
-            run_lir(&synth, "serial", 1, true),
-            run_lir(&synth, "threads4", 4, true),
-            run_lir(&synth, "full-clone", 1, false),
-        ],
+        synth.inst_count(),
+        vec![run_lir(&synth, "serial", 1), run_lir(&synth, "threads4", 4)],
     ));
     // The full MEMOIR → lower → lir pipeline as one profiled run: the
     // verified lowering stage appears as the `lower` row. Two sizes, for
@@ -337,11 +315,8 @@ fn main() {
         subjects.push((
             name,
             "lowered",
-            vec![
-                run_lowered(m, "serial", 1, true),
-                run_lowered(m, "threads4", 4, true),
-                run_lowered(m, "full-clone", 1, false),
-            ],
+            m.inst_count(),
+            vec![run_lowered(m, "serial", 1), run_lowered(m, "threads4", 4)],
         ));
     }
     let scaling = scaling_points(&scaling_mods);
@@ -350,7 +325,7 @@ fn main() {
 
     let subject_json: Vec<String> = subjects
         .iter()
-        .map(|(name, ir, modes)| {
+        .map(|(name, ir, _, modes)| {
             let modes: Vec<String> = modes.iter().map(mode_json).collect();
             format!(
                 "    {{\"name\": \"{}\", \"ir\": \"{}\", \"modes\": [\n      {}\n    ]}}",
@@ -383,7 +358,7 @@ fn main() {
     );
     write_report(&out_path, &json, &format!("{} subjects", subjects.len()));
 
-    for (name, _, modes) in &subjects {
+    for (name, _, _, modes) in &subjects {
         for r in modes {
             let s = r.snapshots;
             println!(
@@ -476,12 +451,9 @@ fn main() {
             unchanged.cache.reuse_rate() * 100.0
         );
 
-        let mut cow_units = 0usize;
-        let mut full_units = 0usize;
-        for (name, _, modes) in &subjects {
+        for (name, ir, input_units, modes) in &subjects {
             let serial = &modes[0];
             let threads4 = &modes[1];
-            let full = &modes[2];
             assert!(
                 serial.passes.iter().map(|(_, ms)| ms).sum::<f64>() > 0.0,
                 "{name}: zero pass timings"
@@ -495,16 +467,24 @@ fn main() {
                 fingerprint_times(&threads4.passes),
                 "{name}: sharded pass sequence diverged from serial"
             );
-            assert!(serial.snapshots.captures > 0, "{name}: no snapshots taken");
-            cow_units += serial.snapshots.units_cloned;
-            full_units += full.snapshots.units_cloned;
+            let s = serial.snapshots;
+            assert!(s.captures > 0, "{name}: no snapshots taken");
+            if *ir != "memoir" {
+                // Whole-module snapshots would clone the module at every
+                // capture; the per-function pool must undercut that.
+                let whole = s.captures * input_units;
+                assert!(
+                    s.units_cloned < whole,
+                    "{name}: CoW snapshots cloned {} units, no fewer than \
+                     {whole} for whole-module clones",
+                    s.units_cloned
+                );
+                println!(
+                    "check OK: {name}: cloned {} units vs {whole} for whole-module clones",
+                    s.units_cloned
+                );
+            }
         }
-        assert!(
-            cow_units < full_units,
-            "CoW snapshots must clone strictly fewer units than the \
-             full-clone baseline ({cow_units} vs {full_units})"
-        );
-        println!("check OK: cow cloned {cow_units} units vs full-clone {full_units}");
 
         assert!(
             scaling_ratio <= SCALING_BOUND,

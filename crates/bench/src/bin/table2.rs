@@ -22,14 +22,14 @@ fn main() {
         let mut o0_report = None;
         for _ in 0..5 {
             let r = bench::compile_at(&module, OptLevel::O0);
-            o0_times.push(r.total_ms());
+            o0_times.push(r.run.total_ms());
             o0_report = Some(r);
         }
         let mut o3_times = Vec::new();
         let mut o3_report = None;
         for _ in 0..5 {
             let r = bench::compile_at(&module, bench::o3_all());
-            o3_times.push(r.total_ms());
+            o3_times.push(r.run.total_ms());
             o3_report = Some(r);
         }
         o0_times.sort_by(f64::total_cmp);

@@ -37,6 +37,7 @@
 use lir::{LirMachine, Module as LModule};
 use memoir_interp::{Collection, Interp, Key, Value};
 use memoir_ir::{Module, ObjTypeId, Type, TypeId, TypeTable};
+use passman::SplitMix64;
 pub use symexec::Budget;
 
 /// Default probe seeds: each seed synthesizes one typed argument vector
@@ -186,31 +187,11 @@ impl ProbeArg {
     }
 }
 
-/// Minimal deterministic generator (SplitMix64 step) so synthesis does
-/// not depend on the fuzz crate (which depends on this one).
-#[derive(Clone, Copy, Debug)]
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
 /// Mixes a probe seed with a per-function (or per-call-site) salt,
 /// yielding the seed for one synthesized vector. Exposed so harnesses can
 /// derive the same streams as [`cross_validate`].
 pub fn mix_seed(seed: u64, salt: u64) -> u64 {
-    let mut m = Mix(seed ^ salt.wrapping_mul(0x2545f4914f6cdd1d));
-    m.next()
+    SplitMix64::new(seed ^ salt.wrapping_mul(0x2545f4914f6cdd1d)).next_u64()
 }
 
 /// Whether a function signature type can be probed with a plain integer
@@ -254,25 +235,30 @@ fn clamp_int(ty: Type, raw: i64) -> i64 {
 /// Draws one scalar from the "interesting values" pool for a type:
 /// boundaries (0, ±1, extremes) with high probability, small randoms
 /// otherwise.
-fn synth_scalar(ty: Type, rng: &mut Mix) -> ProbeArg {
+fn synth_scalar(ty: Type, rng: &mut SplitMix64) -> ProbeArg {
     if ty == Type::Bool {
-        return ProbeArg::Bool(rng.below(2) == 1);
+        return ProbeArg::Bool(rng.below_mod(2) == 1);
     }
-    let raw = match rng.below(8) {
+    let raw = match rng.below_mod(8) {
         0 => 0,
         1 => 1,
         2 => 2,
         3 => -1,
         4 => i64::MIN,
         5 => i64::MAX,
-        _ => (rng.next() % 255) as i64 - 127,
+        _ => (rng.next_u64() % 255) as i64 - 127,
     };
     ProbeArg::Int(ty, clamp_int(ty, raw))
 }
 
 /// Synthesizes one value of type `ty`, or `None` if the type is not
 /// synthesizable (floats, pointers, inline objects, void).
-fn synth_value(types: &TypeTable, ty: TypeId, rng: &mut Mix, depth: u32) -> Option<ProbeArg> {
+fn synth_value(
+    types: &TypeTable,
+    ty: TypeId,
+    rng: &mut SplitMix64,
+    depth: u32,
+) -> Option<ProbeArg> {
     match types.get(ty) {
         t if probe_scalar(t) => Some(synth_scalar(t, rng)),
         Type::Ref(obj) => {
@@ -280,7 +266,7 @@ fn synth_value(types: &TypeTable, ty: TypeId, rng: &mut Mix, depth: u32) -> Opti
             // null, to probe the callee's null paths (source-side traps
             // are skipped, so null is always safe to draw). At the depth
             // limit null is forced, so recursive object types terminate.
-            if depth >= 3 || rng.below(8) == 0 {
+            if depth >= 3 || rng.below_mod(8) == 0 {
                 return Some(ProbeArg::NullRef(obj));
             }
             let field_tys: Vec<TypeId> = types.object(obj).fields.iter().map(|f| f.ty).collect();
@@ -291,7 +277,7 @@ fn synth_value(types: &TypeTable, ty: TypeId, rng: &mut Mix, depth: u32) -> Opti
             Some(ProbeArg::Obj(obj, fields))
         }
         Type::Seq(elem) if depth < 3 => {
-            let n = rng.below(5) as usize;
+            let n = rng.below_mod(5) as usize;
             let elems = (0..n)
                 .map(|_| synth_value(types, elem, rng, depth + 1))
                 .collect::<Option<Vec<_>>>()?;
@@ -303,7 +289,7 @@ fn synth_value(types: &TypeTable, ty: TypeId, rng: &mut Mix, depth: u32) -> Opti
             if !probe_scalar(types.get(kt)) {
                 return None;
             }
-            let n = rng.below(5) as usize;
+            let n = rng.below_mod(5) as usize;
             let mut entries: Vec<(ProbeArg, ProbeArg)> = Vec::new();
             for _ in 0..n {
                 let k = synth_scalar(types.get(kt), rng);
@@ -337,7 +323,7 @@ fn synth_value(types: &TypeTable, ty: TypeId, rng: &mut Mix, depth: u32) -> Opti
 /// assert_eq!(synth_args(&types, &[i64t, seqt], 7).unwrap(), args);
 /// ```
 pub fn synth_args(types: &TypeTable, param_tys: &[TypeId], seed: u64) -> Option<Vec<ProbeArg>> {
-    let mut rng = Mix(seed ^ 0xa076_1d64_78bd_642f);
+    let mut rng = SplitMix64::new(seed ^ 0xa076_1d64_78bd_642f);
     param_tys
         .iter()
         .map(|&t| synth_value(types, t, &mut rng, 0))

@@ -22,7 +22,7 @@
 //! the MEMOIR module (already optimized) is the pipeline's final result
 //! and [`LoweredOutcome::lowered`] is `None` / partially optimized.
 
-use crate::pipeline::{compile_spec_with, threads_from_env, PipelineReport};
+use crate::pipeline::{compile_spec_with, PipelineReport};
 use memoir_ir::Module;
 use memoir_lower::{cross_validate, lower_module_opts, placement_report, LowerOptions};
 use memoir_lower::{LowerStats, PlacementReport, DEFAULT_PROBES};
@@ -100,10 +100,6 @@ pub struct LowerConfig {
     /// Whether the stage runs the cross-IR interpreter-agreement check
     /// (`lir::verifier` always runs).
     pub cross_check: bool,
-    /// Use whole-module clone snapshots instead of the copy-on-write
-    /// default in both pass phases (the recovery baseline, kept for
-    /// comparison — see `bench --bin compile_time`).
-    pub full_clone_snapshots: bool,
     /// Cross-job compile cache shared by all three phases: fingerprint-
     /// keyed per-function pass outputs (MEMOIR and lir) and lowered
     /// function bodies. `None` = no caching (every run is cold).
@@ -121,9 +117,8 @@ impl Default for LowerConfig {
             budgets: Budgets::default(),
             verify: None,
             inject: None,
-            threads: threads_from_env(),
+            threads: passman::threads_from_env(),
             cross_check: true,
-            full_clone_snapshots: false,
             cache: None,
             adaptive: false,
         }
@@ -131,10 +126,7 @@ impl Default for LowerConfig {
 }
 
 impl LowerConfig {
-    fn apply<M: passman::IrUnit + Clone + 'static>(
-        &self,
-        mut pm: PassManager<M>,
-    ) -> PassManager<M> {
+    fn apply<M: passman::IrUnit>(&self, mut pm: PassManager<M>) -> PassManager<M> {
         pm = pm
             .on_fault(self.policy)
             .with_budgets(self.budgets)
@@ -144,9 +136,6 @@ impl LowerConfig {
         }
         if let Some(plan) = &self.inject {
             pm = pm.with_fault_injection(plan.clone());
-        }
-        if self.full_clone_snapshots {
-            pm = pm.with_full_clone_snapshots();
         }
         if let Some(cache) = &self.cache {
             pm = pm.with_compile_cache(cache.clone());
@@ -159,7 +148,7 @@ impl LowerConfig {
 #[derive(Debug)]
 pub struct LoweredOutcome {
     /// The MEMOIR phase report, with the lowering stage and the lir
-    /// passes merged into `report.run` (and `pass_times`/`total`).
+    /// passes merged into `report.run`.
     pub report: PipelineReport,
     /// The lowered (and lir-optimized) module, `None` when the stage
     /// degraded or the MEMOIR phase stopped early.
@@ -258,16 +247,8 @@ pub fn compile_lowered_with(
         *captured_ref = Some((stats, placement, run.cache));
         Ok((lm, flat))
     })?;
-    let stage_run_time = out
-        .report
-        .run
-        .passes
-        .last()
-        .map(|p| p.time)
-        .unwrap_or_default();
-    out.report.run.total += stage_run_time;
-    out.report.total = out.report.run.total;
-    out.report.pass_times = out.report.run.pass_times();
+    let stage_time = out.report.run.passes.last().map(|p| p.time);
+    out.report.run.total += stage_time.unwrap_or_default();
     let mut lm = match stage_result {
         StageOutcome::Lowered(lm) => lm,
         StageOutcome::Degraded { .. } => return Ok(out),
@@ -284,8 +265,6 @@ pub fn compile_lowered_with(
             .apply(lir::passes::pass_manager())
             .run(&mut lm, &pipeline.lir)?;
         merge_run(&mut out.report.run, lir_run, invocation + 1);
-        out.report.total = out.report.run.total;
-        out.report.pass_times = out.report.run.pass_times();
     }
     out.lowered = Some(lm);
     Ok(out)
@@ -317,13 +296,7 @@ fn merge_run(into: &mut RunReport, from: RunReport, invocation_offset: usize) {
     into.fingerprints.merge(from.fingerprints);
     into.stopped_early |= from.stopped_early;
     into.threads = into.threads.max(from.threads);
-    let s = from.snapshots;
-    into.snapshots.captures += s.captures;
-    into.snapshots.full_clones += s.full_clones;
-    into.snapshots.funcs_cloned += s.funcs_cloned;
-    into.snapshots.funcs_reused += s.funcs_reused;
-    into.snapshots.units_cloned += s.units_cloned;
-    into.snapshots.restores += s.restores;
+    into.snapshots.merge(from.snapshots);
 }
 
 #[cfg(test)]

@@ -36,7 +36,6 @@ use memoir_ir::{CollectionCensus, Module};
 use passman::{PassManager, PipelineSpec, RunError, RunReport};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::{Duration, Instant};
 
 /// Which MEMOIR optimizations to run (the Figs. 8/9 configuration axes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -92,29 +91,19 @@ pub enum OptLevel {
     O3(OptConfig),
 }
 
-/// Per-pass timing and outcome report.
+/// Pipeline outcome report: the pass-manager run (per-pass times and
+/// stats, total time) plus the copy count and collection censuses.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineReport {
-    /// `(pass name, wall time)` in execution order.
-    pub pass_times: Vec<(String, Duration)>,
-    /// Total pipeline wall time.
-    pub total: Duration,
     /// Copies inserted by SSA destruction (must be 0 for linear chains).
     pub destruct_copies: usize,
     /// Collection census after construction (Table III's "SSA" column).
     pub ssa_census: memoir_ir::CollectionCensus,
     /// Collection census after the full pipeline ("Binary" column).
     pub final_census: memoir_ir::CollectionCensus,
-    /// The full pass-manager report: per-pass stats, fixpoint iteration
-    /// tags, analysis-cache counters, invalidation events.
+    /// The full pass-manager report: per-pass times and stats, fixpoint
+    /// iteration tags, analysis-cache counters, invalidation events.
     pub run: RunReport,
-}
-
-impl PipelineReport {
-    /// Total time in milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        self.total.as_secs_f64() * 1e3
-    }
 }
 
 /// The default pipeline spec for an optimization level — the Fig. 4
@@ -157,9 +146,9 @@ pub fn default_spec(level: OptLevel) -> PipelineSpec {
 /// A [`PassManager`] over the full MEMOIR registry with the IR verifier
 /// installed (inter-pass verification runs in debug builds by default),
 /// the symbolic equivalence oracle behind the `verify-sym` spec option,
-/// per-function copy-on-write snapshots for recovering fault policies,
-/// and the worker-thread count taken from `MEMOIR_THREADS` (default
-/// serial; function-sharded passes like `simplify` use the workers).
+/// the worker-thread count taken from `MEMOIR_THREADS` (default serial;
+/// function-sharded passes like `simplify` use the workers), and the
+/// `MEMOIR_CACHE` compile cache ([`passman::cache_from_env`]).
 pub fn pass_manager() -> PassManager<Module> {
     let mut pm = PassManager::new(crate::passes::registry())
         .with_verifier(|m: &Module| {
@@ -172,9 +161,8 @@ pub fn pass_manager() -> PassManager<Module> {
             }
         })
         .with_sym_verifier(|m: &Module| m.clone(), prove_pass_equiv)
-        .with_cow_snapshots()
-        .with_threads(threads_from_env());
-    if let Some(cache) = cache_from_env() {
+        .with_threads(passman::threads_from_env());
+    if let Some(cache) = passman::cache_from_env() {
         pm = pm.with_compile_cache(cache);
     }
     pm
@@ -216,37 +204,6 @@ pub fn prove_pass_equiv(before: &Module, after: &Module, budget: u64) -> Result<
     Ok(())
 }
 
-/// The process-global compile cache enabled by `MEMOIR_CACHE=1` (or
-/// `true`): every pass manager built by [`pass_manager`] shares one
-/// [`passman::CompileCache`], so repeated compiles of unchanged
-/// functions across jobs in the same process are served from cache. The
-/// variable is read once; later changes have no effect.
-pub fn cache_from_env() -> Option<passman::CompileCache> {
-    static CACHE: std::sync::OnceLock<Option<passman::CompileCache>> = std::sync::OnceLock::new();
-    CACHE
-        .get_or_init(|| {
-            matches!(
-                std::env::var("MEMOIR_CACHE")
-                    .ok()
-                    .map(|v| v.trim().to_ascii_lowercase())
-                    .as_deref(),
-                Some("1") | Some("true")
-            )
-            .then(passman::CompileCache::new)
-        })
-        .clone()
-}
-
-/// The worker-thread count requested via the `MEMOIR_THREADS`
-/// environment variable (unset, empty, or unparsable → 1, i.e. serial).
-pub fn threads_from_env() -> usize {
-    std::env::var("MEMOIR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or(1)
-}
-
 /// Runs an arbitrary pipeline spec over a module, producing the same
 /// [`PipelineReport`] as [`compile`]. Census fields are populated when
 /// the spec contains `ssa-construct`.
@@ -284,8 +241,6 @@ pub fn compile_spec_with(
     let run = pm.run(m, spec)?;
     let ssa_census = ssa_census.borrow().unwrap_or_default();
     Ok(PipelineReport {
-        pass_times: run.pass_times(),
-        total: run.total,
         destruct_copies: run
             .last_run("ssa-destruct")
             .and_then(|r| r.stat("copies_inserted"))
@@ -319,92 +274,54 @@ pub fn compile(m: &mut Module, level: OptLevel) -> Result<PipelineReport, Constr
 }
 
 /// The legacy hard-coded pass sequence, kept verbatim as a reference
-/// for differential testing of the spec-driven pipeline.
+/// for differential testing of the spec-driven pipeline. It runs no pass
+/// manager, so its report carries only the copy count and the censuses.
 #[doc(hidden)]
 pub fn compile_fixed_reference(
     m: &mut Module,
     level: OptLevel,
 ) -> Result<PipelineReport, ConstructError> {
-    let mut report = PipelineReport::default();
-    let start = Instant::now();
-    let time = |name: &str, report: &mut PipelineReport, f: &mut dyn FnMut()| {
-        let t0 = Instant::now();
-        f();
-        report.pass_times.push((name.to_string(), t0.elapsed()));
+    construct_ssa(m)?;
+    let mut report = PipelineReport {
+        ssa_census: m.collection_census(),
+        ..PipelineReport::default()
     };
 
-    // SSA construction.
-    let mut construct_err = None;
-    time("ssa-construct", &mut report, &mut || {
-        if let Err(e) = construct_ssa(m) {
-            construct_err = Some(e);
-        }
-    });
-    if let Some(e) = construct_err {
-        return Err(e);
-    }
-    report.ssa_census = m.collection_census();
-
     if let OptLevel::O3(cfg) = level {
-        time("constprop", &mut report, &mut || {
-            constprop(m);
-        });
+        constprop(m);
         if cfg.dee {
-            time("dee", &mut report, &mut || {
-                dee::dee_strict(m);
-                dee::dee_specialize_calls(m);
-            });
+            dee::dee_strict(m);
+            dee::dee_specialize_calls(m);
             // The paper's DEE cleanup: fold the guards, simplify the
             // regions, sink computation into them, drop dead code.
-            time("dee-cleanup", &mut report, &mut || {
-                constprop(m);
-                simplify(m);
-                sink::sink(m);
-                dce(m);
-            });
-        }
-        time("sink", &mut report, &mut || {
+            constprop(m);
+            simplify(m);
             sink::sink(m);
-        });
-        time("dce", &mut report, &mut || {
             dce(m);
-        });
+        }
+        sink::sink(m);
+        dce(m);
     }
 
-    // SSA destruction.
-    let mut destruct_copies = 0;
-    time("ssa-destruct", &mut report, &mut || {
-        let stats = destruct_ssa(m);
-        destruct_copies = stats.copies_inserted;
-    });
-    report.destruct_copies = destruct_copies;
+    report.destruct_copies = destruct_ssa(m).copies_inserted;
 
     // Layout optimizations on the destructed form.
     if let OptLevel::O3(cfg) = level {
         if cfg.fe {
-            time("field-elision", &mut report, &mut || {
-                let _ = field_elision::auto_field_elision(m, FE_AFFINITY_THRESHOLD);
-            });
+            let _ = field_elision::auto_field_elision(m, FE_AFFINITY_THRESHOLD);
         }
         if cfg.rie {
-            time("rie", &mut report, &mut || {
-                rie::rie(m);
-            });
+            rie::rie(m);
         }
         if cfg.key_fold {
-            time("key-fold", &mut report, &mut || {
-                key_fold::key_fold(m);
-            });
+            key_fold::key_fold(m);
         }
         if cfg.dfe {
-            time("dfe", &mut report, &mut || {
-                dfe::dfe(m);
-            });
+            dfe::dfe(m);
         }
     }
 
     report.final_census = m.collection_census();
-    report.total = start.elapsed();
     Ok(report)
 }
 
@@ -491,7 +408,7 @@ mod tests {
         let mut m = m0.clone();
         let report = compile(&mut m, OptLevel::O3(OptConfig::all())).unwrap();
         memoir_ir::verifier::assert_valid(&m);
-        assert!(report.pass_times.iter().any(|(n, _)| n == "dee"));
+        assert!(report.run.last_run("dee").is_some());
         for c in [0, 1, 7, 20] {
             assert_eq!(run(&m0, c), run(&m, c), "count={c}");
         }
@@ -729,6 +646,6 @@ mod tests {
         let r0 = compile(&mut a, OptLevel::O0).unwrap();
         let mut b = m0.clone();
         let r3 = compile(&mut b, OptLevel::O3(OptConfig::all())).unwrap();
-        assert!(r3.pass_times.len() > r0.pass_times.len());
+        assert!(r3.run.passes.len() > r0.run.passes.len());
     }
 }

@@ -9,7 +9,15 @@
 //! final outcome across runs and across worker-thread counts.
 
 use crate::job::Rung;
-use crate::rng::{mix, SplitMix64};
+use passman::SplitMix64;
+
+/// Mixes independent key parts into one decorrelated seed.
+fn mix(a: u64, b: u64, c: u64) -> u64 {
+    let mut g = SplitMix64::new(
+        a ^ b.wrapping_mul(0xA24B_AED4_963E_E407) ^ c.wrapping_mul(0x9FB2_1C65_1E98_DF25),
+    );
+    g.next_u64()
+}
 
 /// How a job retries: attempt count, ladder shape, and backoff curve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,6 +97,13 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mix_separates_key_parts() {
+        assert_ne!(mix(1, 2, 3), mix(1, 3, 2));
+        assert_ne!(mix(1, 2, 3), mix(2, 1, 3));
+        assert_eq!(mix(7, 8, 9), mix(7, 8, 9));
+    }
 
     #[test]
     fn ladder_shape() {

@@ -34,7 +34,6 @@ mod backoff;
 mod breaker;
 mod inject;
 mod job;
-mod rng;
 mod service;
 
 pub use backoff::RetryPolicy;

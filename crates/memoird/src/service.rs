@@ -846,7 +846,6 @@ fn compile_attempt(
                 inject: None,
                 threads,
                 cross_check: true,
-                full_clone_snapshots: false,
                 cache: cache.cloned(),
                 adaptive: false,
             };

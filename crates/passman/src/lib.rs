@@ -24,8 +24,10 @@
 //!   offending pass on failure), and producing a unified [`RunReport`].
 //!
 //! The framework is IR-agnostic: anything implementing [`IrUnit`] (a way
-//! to enumerate function keys and fingerprint each function) can be
-//! driven by it.
+//! to enumerate function keys and fingerprint each function) and
+//! [`ShardedIr`] (detaching, cloning and restoring single functions — the
+//! sharded executor and the copy-on-write rollback engine work per
+//! function) can be driven by it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -39,6 +41,7 @@ pub mod parallel;
 pub mod pass;
 pub mod query;
 pub mod recover;
+pub mod rng;
 pub mod runner;
 pub mod snapshot;
 pub mod spec;
@@ -58,13 +61,52 @@ pub use parallel::{
 pub use pass::{FnPass, Mutation, Pass, PassError, PassOutcome, PassRegistry};
 pub use query::QueryCtx;
 pub use recover::{Degradation, FaultCause, FaultPolicy, RecoveryAction};
+pub use rng::SplitMix64;
 pub use runner::{PassManager, PassRun, RunError, RunReport};
-pub use snapshot::{CowEngine, FullCloneEngine, SnapshotCost, SnapshotEngine, SnapshotStats};
+pub use snapshot::{CowEngine, SnapshotCost, SnapshotStats};
 pub use spec::{PassCall, PassOptions, PipelineSpec, SpecParseError, SpecStep};
 pub use stage::{LowerStage, StageOutcome};
 
 use std::fmt::Debug;
 use std::hash::Hash;
+use std::sync::OnceLock;
+
+/// The pass-manager settings the environment requests, read once per
+/// process: `MEMOIR_THREADS` (worker threads for function-sharded
+/// passes; unset, empty, or unparsable → 1, i.e. serial) and
+/// `MEMOIR_CACHE` (`1` or `true` → one process-global [`CompileCache`],
+/// shared by every IR's pipelines — its domains are namespaced per IR).
+/// Later changes to the variables have no effect.
+fn env_settings() -> &'static (usize, Option<CompileCache>) {
+    static SETTINGS: OnceLock<(usize, Option<CompileCache>)> = OnceLock::new();
+    SETTINGS.get_or_init(|| {
+        let var = |name| {
+            std::env::var(name)
+                .ok()
+                .map(|v| v.trim().to_ascii_lowercase())
+        };
+        let threads = var("MEMOIR_THREADS")
+            .and_then(|s| s.parse::<usize>().ok())
+            .map_or(1, |n| n.max(1));
+        let cache = matches!(var("MEMOIR_CACHE").as_deref(), Some("1" | "true"));
+        (threads, cache.then(CompileCache::new))
+    })
+}
+
+/// The worker-thread count requested via `MEMOIR_THREADS` (see
+/// [`cache_from_env`] for how the environment is read).
+pub fn threads_from_env() -> usize {
+    env_settings().0
+}
+
+/// The process-global compile cache enabled by `MEMOIR_CACHE=1` (or
+/// `true`): every pass manager that installs it — MEMOIR and lir alike —
+/// shares one [`CompileCache`], so repeated compiles of unchanged
+/// functions across jobs in the same process are served from cache. Both
+/// variables are read once per process; later changes have no effect.
+pub fn cache_from_env() -> Option<CompileCache> {
+    env_settings().1.clone()
+}
 
 /// An IR unit a pass pipeline can run over: a module-like container with
 /// enumerable per-function keys and per-function content fingerprints.

@@ -16,17 +16,18 @@
 //! ran (only wall-clock timings differ).
 //!
 //! Fault containment: when the runner is under a recovering
-//! [`FaultPolicy`](crate::FaultPolicy), each function is cloned before
-//! the pass runs on it and a panic inside one function rolls back *that
-//! function only* — the other functions (and the other shards) keep
-//! their results, and the fault surfaces as a per-function
-//! [`ContainedFault`] in the pass profile instead of a whole-pass
-//! rollback.
+//! [`FaultPolicy`](crate::FaultPolicy), a panic inside one function is
+//! caught there — the other functions (and the other shards) keep their
+//! results, and the fault surfaces as a per-function [`ContainedFault`]
+//! in the pass profile instead of a whole-pass rollback. The executor
+//! clones nothing: the runner rolls back *that function only* from the
+//! pre-pass copy its [`CowEngine`](crate::CowEngine) already holds.
 
 use crate::cache::CompileCacheStats;
 use crate::fingerprint::Fingerprint;
 use crate::pass::{Mutation, Pass, PassError, PassOutcome};
 use crate::query::QueryCtx;
+use crate::recover::panic_message;
 use crate::AnalysisManager;
 use crate::IrUnit;
 use std::marker::PhantomData;
@@ -44,8 +45,9 @@ pub struct ExecContext {
     /// Worker threads available to the pass (`1` = run serially).
     pub threads: usize,
     /// Whether a recovering fault policy is active: function-sharded
-    /// passes then snapshot each function and contain per-function
-    /// panics instead of letting them tear down the whole pass.
+    /// passes then contain per-function panics (the runner restores the
+    /// function from its snapshot) instead of letting them tear down the
+    /// whole pass.
     pub contain_faults: bool,
     /// Test-only injection: panic while processing the function at this
     /// index of the stable key order (see
@@ -177,8 +179,9 @@ pub struct ShardStat {
     pub busy: Duration,
 }
 
-/// A per-function fault the executor contained: the function was rolled
-/// back to its pre-pass state and the rest of the pass kept its results.
+/// A per-function fault the executor contained: the rest of the pass
+/// kept its results, and the runner rolls the function back to its
+/// pre-pass state.
 #[derive(Clone, Debug)]
 pub struct ContainedFault {
     /// Index of the function in the stable key order (the sort key for
@@ -232,14 +235,6 @@ struct FuncResult {
     /// back to the calling thread and resumed there, preserving the
     /// legacy fail-fast behaviour under [`FaultPolicy::Abort`](crate::FaultPolicy).
     payload: Option<Box<dyn std::any::Any + Send>>,
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "panic with non-string payload".to_string())
 }
 
 /// Lifts a [`FuncPass`] into a [`Pass`] that shards the module's
@@ -310,11 +305,6 @@ fn run_shard<M: ShardedIr, P: FuncPass<M>>(
     for (li, (global_index, slot)) in items.iter_mut().enumerate() {
         let global_index = *global_index;
         let (key, func) = (&slot.0, &mut slot.1);
-        let backup = if cx.contain_faults {
-            Some(func.clone())
-        } else {
-            None
-        };
         let ft0 = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if cx.inject_func_panic == Some(global_index) {
@@ -335,24 +325,15 @@ fn run_shard<M: ShardedIr, P: FuncPass<M>>(
                 panic: None,
                 payload: None,
             },
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                if let Some(b) = backup {
-                    // Contain: this function reverts, the rest stand.
-                    *func = b;
-                }
-                FuncResult {
-                    changed: false,
-                    stats: Vec::new(),
-                    time,
-                    panic: Some(message),
-                    payload: if cx.contain_faults {
-                        None
-                    } else {
-                        Some(payload)
-                    },
-                }
-            }
+            // Contained, the function is left as the panic left it: the
+            // runner restores it before anything else sees the module.
+            Err(payload) => FuncResult {
+                changed: false,
+                stats: Vec::new(),
+                time,
+                panic: Some(panic_message(payload.as_ref())),
+                payload: (!cx.contain_faults).then_some(payload),
+            },
         });
         // Fail fast within the shard when faults are not contained: the
         // panic is re-raised on the calling thread after re-attachment.

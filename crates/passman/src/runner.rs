@@ -6,12 +6,11 @@
 //!
 //! With a recovering [`FaultPolicy`] installed (see
 //! [`PassManager::on_fault`]), every pass runs under `catch_unwind` with
-//! its declared mutation scope snapshotted beforehand (whole-module
-//! clone by default, per-function copy-on-write via
-//! [`PassManager::with_cow_snapshots`]): a panicking, erroring,
-//! verifier-failing, or over-budget pass is rolled back to the last
-//! verified IR and recorded as a [`Degradation`], and the pipeline either
-//! continues (`SkipPass`) or stops cleanly (`StopPipeline`).
+//! its declared mutation scope snapshotted beforehand by a per-run
+//! copy-on-write [`CowEngine`]: a panicking, erroring, verifier-failing,
+//! or over-budget pass is rolled back to the last verified IR and
+//! recorded as a [`Degradation`], and the pipeline either continues
+//! (`SkipPass`) or stops cleanly (`StopPipeline`).
 //!
 //! Function-sharded passes (see [`crate::parallel`]) additionally run
 //! their per-function bodies on [`PassManager::with_threads`] worker
@@ -26,17 +25,14 @@ use crate::fault::{FaultPlan, InjectKind};
 #[cfg(debug_assertions)]
 use crate::fingerprint::LocalFingerprint;
 use crate::parallel::{ExecContext, FuncPassProfile, ShardedIr};
-#[cfg(debug_assertions)]
-use crate::pass::{Mutation, PassOutcome};
-use crate::pass::{Pass, PassError, PassRegistry};
-use crate::recover::{Degradation, FaultCause, FaultPolicy, RecoveryAction};
-use crate::snapshot::{CowEngine, FullCloneEngine, SnapshotCost, SnapshotEngine, SnapshotStats};
+use crate::pass::{Mutation, Pass, PassError, PassOutcome, PassRegistry};
+use crate::recover::{Contained, Degradation, Envelope, FaultCause, FaultPolicy, RecoveryAction};
+use crate::snapshot::{CowEngine, SnapshotCost, SnapshotStats};
 use crate::spec::{PassCall, PipelineSpec, SpecStep};
 use crate::IrUnit;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -92,7 +88,7 @@ pub struct RunReport {
     pub stopped_early: bool,
     /// Worker threads the manager was configured with.
     pub threads: usize,
-    /// Cumulative snapshot-engine counters (zeroed under
+    /// This run's snapshot-engine counters (zeroed under
     /// [`FaultPolicy::Abort`], which never snapshots).
     pub snapshots: SnapshotStats,
     /// Cross-job compile-cache hit/skip/miss counters for this run
@@ -108,8 +104,7 @@ impl RunReport {
         self.total.as_secs_f64() * 1e3
     }
 
-    /// `(name, time)` pairs in execution order (the legacy
-    /// `PipelineReport::pass_times` shape).
+    /// `(name, time)` pairs in execution order.
     pub fn pass_times(&self) -> Vec<(String, Duration)> {
         self.passes
             .iter()
@@ -388,7 +383,6 @@ pub struct PassManager<M: IrUnit> {
     observer: Option<Observer<M>>,
     policy: FaultPolicy,
     budgets: Budgets,
-    snapshots: Option<RefCell<Box<dyn SnapshotEngine<M>>>>,
     injection: Option<FaultPlan>,
     /// Worker threads for function-sharded passes (1 = serial).
     threads: usize,
@@ -430,7 +424,6 @@ impl<M: IrUnit> PassManager<M> {
             observer: None,
             policy: FaultPolicy::Abort,
             budgets: Budgets::none(),
-            snapshots: None,
             injection: None,
             threads: 1,
             invocations: Cell::new(0),
@@ -525,45 +518,12 @@ impl<M: IrUnit> PassManager<M> {
     }
 
     /// Sets the fault policy. The recovering policies snapshot what each
-    /// pass may mutate before running it (hence the `Clone` bound) and
-    /// roll back on any contained fault; [`FaultPolicy::Abort`] restores
-    /// the legacy fail-fast behaviour and costs nothing.
-    ///
-    /// If no snapshot engine is installed yet, this installs the
-    /// whole-module [`FullCloneEngine`]; a previously installed engine
-    /// (e.g. [`with_cow_snapshots`](PassManager::with_cow_snapshots)) is
-    /// kept.
-    pub fn on_fault(mut self, policy: FaultPolicy) -> Self
-    where
-        M: Clone + 'static,
-    {
+    /// pass may mutate before running it — per function, copy-on-write,
+    /// in a [`CowEngine`] that lives for one run — and roll back on any
+    /// contained fault; [`FaultPolicy::Abort`] restores the legacy
+    /// fail-fast behaviour and costs nothing.
+    pub fn on_fault(mut self, policy: FaultPolicy) -> Self {
         self.policy = policy;
-        if self.snapshots.is_none() {
-            self.snapshots = Some(RefCell::new(Box::new(FullCloneEngine::<M>::new())));
-        }
-        self
-    }
-
-    /// Installs the per-function copy-on-write [`CowEngine`]: recovering
-    /// policies then clone only the functions a pass declares it may
-    /// mutate (reusing clones of still-clean functions across passes)
-    /// instead of the whole module. Overrides any earlier engine.
-    pub fn with_cow_snapshots(mut self) -> Self
-    where
-        M: ShardedIr + Clone + 'static,
-    {
-        self.snapshots = Some(RefCell::new(Box::new(CowEngine::<M>::new())));
-        self
-    }
-
-    /// Forces the legacy whole-module [`FullCloneEngine`] (the baseline
-    /// the compile-time bench compares CoW against). Overrides any
-    /// earlier engine.
-    pub fn with_full_clone_snapshots(mut self) -> Self
-    where
-        M: Clone + 'static,
-    {
-        self.snapshots = Some(RefCell::new(Box::new(FullCloneEngine::<M>::new())));
         self
     }
 
@@ -603,7 +563,9 @@ impl<M: IrUnit> PassManager<M> {
         }
         Ok(())
     }
+}
 
+impl<M: ShardedIr + Clone> PassManager<M> {
     /// Runs a spec with a fresh analysis manager.
     pub fn run(&self, m: &mut M, spec: &PipelineSpec) -> Result<RunReport, RunError> {
         let mut am = AnalysisManager::new();
@@ -636,11 +598,22 @@ impl<M: IrUnit> PassManager<M> {
         // options) and reused across fixpoint iterations, so stateful
         // passes can accumulate.
         let mut instances: HashMap<String, Box<dyn Pass<M>>> = HashMap::new();
+        // The run's rollback engine (unused under `Abort`).
+        let mut engine = CowEngine::new();
 
         'steps: for step in &spec.steps {
             match step {
                 SpecStep::Pass(call) => {
-                    match self.run_one(m, am, &mut instances, call, None, &mut report, start)? {
+                    match self.run_one(
+                        m,
+                        am,
+                        &mut engine,
+                        &mut instances,
+                        call,
+                        None,
+                        &mut report,
+                        start,
+                    )? {
                         StepOutcome::Ran(_) => {}
                         StepOutcome::Stop => {
                             report.stopped_early = true;
@@ -668,6 +641,7 @@ impl<M: IrUnit> PassManager<M> {
                             match self.run_one(
                                 m,
                                 am,
+                                &mut engine,
                                 &mut instances,
                                 call,
                                 Some(iter),
@@ -703,9 +677,7 @@ impl<M: IrUnit> PassManager<M> {
             .saturating_sub(contention_before);
         report.fingerprints = am.fingerprint_stats().since(fp_before);
         report.threads = self.threads;
-        if let Some(engine) = &self.snapshots {
-            report.snapshots = engine.borrow().stats();
-        }
+        report.snapshots = engine.stats();
         // Deterministic ordering: pass invocation index, then function
         // index (whole-pass faults first). Pushes already happen in this
         // order, so the (stable) sort is a guard, not a shuffle.
@@ -764,6 +736,7 @@ impl<M: IrUnit> PassManager<M> {
         &self,
         m: &mut M,
         am: &mut AnalysisManager<M>,
+        engine: &mut CowEngine<M>,
         instances: &mut HashMap<String, Box<dyn Pass<M>>>,
         call: &PassCall,
         fixpoint_iteration: Option<usize>,
@@ -816,39 +789,31 @@ impl<M: IrUnit> PassManager<M> {
             .injection
             .as_ref()
             .filter(|plan| plan.fires(invocation, name));
-        let injected = plan.map(|plan| plan.kind);
-        // A function-targeted panic is injected inside the sharded
-        // executor (via the ExecContext), not ahead of the pass body.
-        let injected_func = plan.and_then(|plan| plan.func);
-
-        let recovering = self.policy != FaultPolicy::Abort;
-        let size_before = if max_growth.is_some() {
-            m.size_hint()
-        } else {
-            0
+        let env = Envelope {
+            name,
+            invocation,
+            fixpoint_iteration,
+            policy: self.policy,
+            injected: plan.map(|plan| plan.kind),
+            // A function-targeted panic is injected inside the sharded
+            // executor (via the ExecContext), not ahead of the pass body.
+            inject_in_func: plan.is_some_and(|plan| plan.func.is_some()),
+            max_ms,
+            max_growth,
         };
+        let recovering = self.policy != FaultPolicy::Abort;
         pass.prepare(ExecContext {
             threads,
             contain_faults: recovering,
-            inject_func_panic: if injected == Some(InjectKind::Panic) {
-                injected_func
-            } else {
-                None
-            },
+            inject_func_panic: plan
+                .filter(|plan| plan.kind == InjectKind::Panic)
+                .and_then(|plan| plan.func),
         });
-        let snapshot_cost = if recovering {
-            let engine = self
-                .snapshots
-                .as_ref()
-                .expect("recovering policies are installed with a snapshot engine");
-            let scope = pass.may_mutate(m);
-            let mut engine = engine.borrow_mut();
-            engine.capture(m, &scope);
-            Some(engine.last_cost())
+        let scope = if recovering {
+            pass.may_mutate(m)
         } else {
-            None
+            Mutation::None
         };
-
         // The symbolic verifier needs the pre-pass IR to prove against.
         let sym_before = sym.map(|sv| (sv.capture)(m));
         // Debug builds audit the pass's mutation declaration against the
@@ -856,199 +821,88 @@ impl<M: IrUnit> PassManager<M> {
         #[cfg(debug_assertions)]
         let audit_before = audit_snapshot(m);
 
-        // --- run the pass body ---------------------------------------
-        let t0 = Instant::now();
-        let body = |m: &mut M, am: &mut AnalysisManager<M>, pass: &mut Box<dyn Pass<M>>| {
-            if injected == Some(InjectKind::Panic) && injected_func.is_none() {
-                panic!("fault injection: panic in `{name}` at invocation {invocation}");
-            }
-            pass.run(m, am)
-        };
-        let result: Result<Result<_, PassError>, String> = if recovering {
-            catch_unwind(AssertUnwindSafe(|| body(m, am, pass))).map_err(|payload| {
-                payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "panic with non-string payload".to_string())
-            })
-        } else {
-            // Abort: let panics propagate with their original backtrace.
-            Ok(body(m, am, pass))
-        };
-        let time = t0.elapsed();
-
-        // --- classify the outcome into (success, fault) ---------------
-        let mut fault: Option<FaultCause> = None;
-        let mut success: Option<crate::pass::PassOutcome<M>> = None;
-        match result {
-            Err(panic_msg) => fault = Some(FaultCause::Panic(panic_msg)),
-            Ok(Err(error)) => {
-                if recovering {
-                    fault = Some(FaultCause::PassFailed(error.message.clone()));
-                } else {
-                    return Err(RunError::PassFailed {
-                        pass: name.to_string(),
-                        error,
-                    });
+        let contained = env.run(
+            m,
+            am,
+            engine,
+            scope,
+            report,
+            |m, am| pass.run(m, am),
+            |m, am, engine, outcome: &PassOutcome<M>| {
+                // Functions whose sharded work panicked go back to their
+                // pre-pass state before anything inspects the module.
+                if let Some(prof) = outcome.profile.as_ref().filter(|p| !p.contained.is_empty()) {
+                    let mut keys = m.func_keys();
+                    keys.sort_unstable();
+                    let victims: Vec<M::FuncKey> =
+                        prof.contained.iter().map(|c| keys[c.func_index]).collect();
+                    engine.restore_funcs(m, &victims);
                 }
-            }
-            Ok(Ok(outcome)) => {
                 #[cfg(debug_assertions)]
-                audit_declaration(name, &audit_before, m, &outcome);
+                audit_declaration(name, &audit_before, m, outcome);
                 if outcome.changed {
                     // Resolved lazily ("drop what actually changed") at
                     // the next query.
                     am.note_mutation(&outcome.mutated);
                 }
-
-                // Verification (a forced injection counts as a failure).
-                let verify_msg = if injected == Some(InjectKind::VerifyFail) {
-                    Some(format!(
-                        "fault injection: forced verifier failure after `{name}`"
-                    ))
-                } else if self.verify_between_passes {
-                    match &self.verifier {
-                        Some(v) => v(m, am).err(),
-                        None => None,
-                    }
-                } else {
-                    None
+                let verdict = match &self.verifier {
+                    Some(v) if self.verify_between_passes => v(m, am).err(),
+                    _ => None,
                 };
                 // Symbolic per-pass verification, only once the plain
                 // verifier accepted the IR: prove pre-pass ≡ post-pass.
                 // An unchanged pass is trivially equivalent — skip it.
-                let verify_msg = verify_msg.or_else(|| match (&sym, &sym_before) {
+                verdict.or_else(|| match (sym, &sym_before) {
                     (Some(sv), Some(before)) if outcome.changed => {
                         (sv.check)(before, m, sym_budget)
                             .err()
                             .map(|e| format!("verify-sym: {e}"))
                     }
                     _ => None,
-                });
-
-                if let Some(message) = verify_msg {
-                    fault = Some(FaultCause::VerifyFailed(message));
-                } else if let Some(v) =
-                    self.budget_violation(injected, time, max_ms, max_growth, size_before, m)
-                {
-                    fault = Some(FaultCause::Budget(v));
-                } else {
-                    success = Some(outcome);
-                }
-            }
-        }
-
-        // --- fault handling -------------------------------------------
-        if let Some(cause) = fault {
-            if !recovering {
-                return Err(match cause {
-                    FaultCause::Panic(message) => {
-                        unreachable!("panics are not caught under Abort: {message}")
-                    }
-                    FaultCause::PassFailed(message) => RunError::PassFailed {
-                        pass: name.to_string(),
-                        error: PassError::msg(message),
-                    },
-                    FaultCause::VerifyFailed(message) => RunError::VerifyFailed {
-                        pass: name.to_string(),
-                        message,
-                    },
-                    FaultCause::Budget(violation) => RunError::BudgetExceeded {
-                        pass: name.to_string(),
-                        violation,
-                    },
+                })
+            },
+        )?;
+        let (outcome, mut pass_run) = match contained {
+            Contained::Done(outcome, pass_run) => (outcome, pass_run),
+            Contained::Degraded(action) => {
+                // Every cached analysis may describe the discarded state.
+                am.invalidate_all();
+                return Ok(match action {
+                    RecoveryAction::RolledBack => StepOutcome::Ran(false),
+                    RecoveryAction::Stopped => StepOutcome::Stop,
                 });
             }
-
-            // Roll back to the last verified IR; every cached analysis
-            // may describe the discarded state, so drop them all.
-            self.snapshots
-                .as_ref()
-                .expect("recovering policies are installed with a snapshot engine")
-                .borrow_mut()
-                .restore(m);
-            am.invalidate_all();
-
-            let action = match self.policy {
-                FaultPolicy::SkipPass => RecoveryAction::RolledBack,
-                FaultPolicy::StopPipeline => RecoveryAction::Stopped,
-                FaultPolicy::Abort => unreachable!("handled above"),
-            };
-            report.passes.push(PassRun {
-                name: name.to_string(),
-                time,
-                changed: false,
-                stats: Vec::new(),
-                fixpoint_iteration,
-                annotations: vec![("degraded".into(), cause.to_string())],
-                snapshot: snapshot_cost,
-                profile: None,
-            });
-            report.degradations.push(Degradation {
-                pass: name.to_string(),
-                invocation,
-                cause,
-                fixpoint_iteration,
-                func_index: None,
-                func: None,
-                action,
-            });
-            return Ok(match action {
-                RecoveryAction::RolledBack => StepOutcome::Ran(false),
-                RecoveryAction::Stopped => StepOutcome::Stop,
-            });
-        }
+        };
 
         // --- success ---------------------------------------------------
-        let outcome = success.expect("no fault implies a successful outcome");
-        if let Some(engine) = &self.snapshots {
-            if recovering {
-                engine
-                    .borrow_mut()
-                    .commit(&outcome.mutated, outcome.changed);
-            }
-        }
+        engine.commit(&outcome.mutated, outcome.changed);
         let changed = outcome.changed;
-        let mut run = PassRun {
-            name: name.to_string(),
-            time,
-            changed,
-            stats: outcome.stats,
-            fixpoint_iteration,
-            annotations: Vec::new(),
-            snapshot: snapshot_cost,
-            profile: outcome.profile.clone(),
-        };
+        pass_run.changed = changed;
+        pass_run.stats = outcome.stats;
+        pass_run.profile = outcome.profile;
         if let Some(obs) = &self.observer {
-            obs(m, &mut run);
+            obs(m, &mut pass_run);
         }
-        report.passes.push(run);
-
         // Faults a sharded pass contained to single functions: the pass
         // as a whole succeeded (and verified) with those functions rolled
         // back to their pre-pass state; record them as function-scoped
         // degradations.
-        let contained = outcome
+        let contained = pass_run
             .profile
             .as_ref()
             .map(|p| p.contained.clone())
             .unwrap_or_default();
+        report.passes.push(*pass_run);
         if !contained.is_empty() {
-            let action = match self.policy {
-                FaultPolicy::SkipPass => RecoveryAction::RolledBack,
-                FaultPolicy::StopPipeline => RecoveryAction::Stopped,
-                FaultPolicy::Abort => unreachable!("faults are only contained when recovering"),
-            };
+            let action = self
+                .policy
+                .action()
+                .expect("faults are only contained when recovering");
             for c in contained {
                 report.degradations.push(Degradation {
-                    pass: name.to_string(),
-                    invocation,
-                    cause: FaultCause::Panic(c.message),
-                    fixpoint_iteration,
                     func_index: Some(c.func_index),
                     func: Some(c.func),
-                    action,
+                    ..env.degradation(FaultCause::Panic(c.message), action)
                 });
             }
             if action == RecoveryAction::Stopped {
@@ -1063,70 +917,21 @@ impl<M: IrUnit> PassManager<M> {
         if let Some(limit_ms) = self.budgets.max_pipeline_millis {
             let elapsed = pipeline_start.elapsed();
             if elapsed > Duration::from_millis(limit_ms) {
-                let violation = BudgetViolation::PipelineTime {
+                let cause = FaultCause::Budget(BudgetViolation::PipelineTime {
                     limit_ms,
                     actual_ms: (elapsed.as_millis() as u64).max(1),
-                };
-                if !recovering {
-                    return Err(RunError::BudgetExceeded {
-                        pass: name.to_string(),
-                        violation,
-                    });
-                }
-                report.degradations.push(Degradation {
-                    pass: name.to_string(),
-                    invocation,
-                    cause: FaultCause::Budget(violation),
-                    fixpoint_iteration,
-                    func_index: None,
-                    func: None,
-                    action: RecoveryAction::Stopped,
                 });
+                if !recovering {
+                    return Err(env.run_error(cause));
+                }
+                report
+                    .degradations
+                    .push(env.degradation(cause, RecoveryAction::Stopped));
                 return Ok(StepOutcome::Stop);
             }
         }
 
         Ok(StepOutcome::Ran(changed))
-    }
-
-    /// Checks the per-pass budgets (and the injected blowup) after a
-    /// successful pass body.
-    fn budget_violation(
-        &self,
-        injected: Option<InjectKind>,
-        time: Duration,
-        max_ms: Option<u64>,
-        max_growth: Option<f64>,
-        size_before: usize,
-        m: &M,
-    ) -> Option<BudgetViolation> {
-        if injected == Some(InjectKind::BudgetBlowup) {
-            return Some(BudgetViolation::PassTime {
-                limit_ms: 0,
-                actual_ms: (time.as_millis() as u64).max(1),
-            });
-        }
-        if let Some(limit_ms) = max_ms {
-            if time > Duration::from_millis(limit_ms) {
-                return Some(BudgetViolation::PassTime {
-                    limit_ms,
-                    actual_ms: (time.as_millis() as u64).max(1),
-                });
-            }
-        }
-        if let Some(limit) = max_growth {
-            if size_before > 0 {
-                let after = m.size_hint();
-                if after as f64 > size_before as f64 * limit {
-                    return Some(BudgetViolation::Growth {
-                        limit,
-                        before: size_before,
-                        after,
-                    });
-                }
-            }
-        }
-        None
     }
 }
 
@@ -1135,7 +940,8 @@ mod tests {
     use super::*;
     use crate::pass::{FnPass, PassOutcome};
     use crate::spec::PassOptions;
-    use crate::toy::Toy;
+    use crate::toy::{Counted, CountingToy, Toy};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     struct Sum;
     impl crate::Analysis<Toy> for Sum {
@@ -1825,31 +1631,65 @@ mod tests {
 
     #[test]
     fn cow_snapshots_clone_less_than_full_clones() {
-        let init = Toy {
+        let mut m = Toy {
             vals: vec![1, 0, 0, 0],
         };
+        // What cloning the whole module at every capture would cost.
+        let module_units = m.size_hint();
         let spec = PipelineSpec::parse("fdec,fdec").unwrap();
-
-        let pm = PassManager::new(registry_with_fdec())
-            .with_cow_snapshots()
-            .on_fault(FaultPolicy::SkipPass);
-        let mut m = init.clone();
+        let pm = PassManager::new(registry_with_fdec()).on_fault(FaultPolicy::SkipPass);
         let cow = pm.run(&mut m, &spec).unwrap().snapshots;
         // First fdec captures all 4 slots, mutates only slot 0; the
         // second capture reclones slot 0 and reuses the other 3.
+        assert_eq!(cow.captures, 2);
         assert_eq!(cow.funcs_cloned, 5);
         assert_eq!(cow.funcs_reused, 3);
         assert_eq!(cow.units_cloned, 5);
         assert_eq!(cow.full_clones, 0);
+        assert!(cow.units_cloned < cow.captures * module_units);
+    }
 
-        let pm = PassManager::new(registry_with_fdec())
-            .with_full_clone_snapshots()
-            .on_fault(FaultPolicy::SkipPass);
-        let mut m = init.clone();
-        let full = pm.run(&mut m, &spec).unwrap().snapshots;
-        assert_eq!(full.full_clones, 2);
-        assert_eq!(full.units_cloned, 8);
-        assert!(cow.units_cloned < full.units_cloned);
+    /// Function-scoped `dec` over clone-counting function bodies.
+    struct CountedDec;
+    impl FuncPass<CountingToy> for CountedDec {
+        fn name(&self) -> &'static str {
+            "cdec"
+        }
+        fn run_on(
+            &self,
+            _shell: &CountingToy,
+            _key: usize,
+            f: &mut Counted,
+            _ctx: Option<&(dyn std::any::Any + Send + Sync)>,
+        ) -> FuncOutcome {
+            if f.val > 0 {
+                f.val -= 1;
+                FuncOutcome::from_stats(vec![("decremented", 1)])
+            } else {
+                FuncOutcome::unchanged()
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_recovery_clones_each_function_at_most_once_per_capture() {
+        for threads in [1, 4] {
+            let mut r = PassRegistry::new();
+            r.register("cdec", || Box::new(FuncPassAdapter::new(CountedDec)));
+            let pm = PassManager::new(r)
+                .with_threads(threads)
+                .on_fault(FaultPolicy::SkipPass);
+            let mut m = CountingToy::new(&[1, 0, 0, 0]);
+            let report = pm
+                .run(&mut m, &PipelineSpec::parse("cdec,cdec").unwrap())
+                .unwrap();
+            let s = report.snapshots;
+            // The engine's pool is the only copy: 4 clones for the first
+            // capture, 1 for the function it mutated, none per shard.
+            assert_eq!(m.clones(), s.funcs_cloned, "threads={threads}");
+            assert_eq!(s.funcs_cloned, 5, "threads={threads}");
+            assert!(m.clones() <= s.captures * m.funcs.len());
+        }
     }
 
     #[test]
@@ -1857,9 +1697,7 @@ mod tests {
         // A module-level pass (landmine: may_mutate = All) faulting under
         // the CoW engine must still roll back via the full-clone
         // fallback.
-        let pm = PassManager::new(registry_with_fdec())
-            .with_cow_snapshots()
-            .on_fault(FaultPolicy::SkipPass);
+        let pm = PassManager::new(registry_with_fdec()).on_fault(FaultPolicy::SkipPass);
         let mut m = Toy { vals: vec![-1, 4] };
         let spec = PipelineSpec::parse("landmine,fdec").unwrap();
         let report = pm.run(&mut m, &spec).unwrap();

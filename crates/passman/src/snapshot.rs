@@ -1,30 +1,27 @@
-//! Snapshot engines for the fault-recovery path.
+//! The copy-on-write snapshot engine behind every rollback.
 //!
-//! Before a pass runs under a recovering [`FaultPolicy`](crate::FaultPolicy),
-//! the runner captures a snapshot of whatever the pass declares it *may*
-//! mutate ([`Pass::may_mutate`](crate::Pass::may_mutate)); if the pass
-//! faults, the snapshot restores the module to its pre-pass state.
+//! Before a pass (or a lowering stage) runs under a recovering
+//! [`FaultPolicy`](crate::FaultPolicy), the runner captures whatever the
+//! pass declares it *may* mutate ([`Pass::may_mutate`](crate::Pass::may_mutate))
+//! in a [`CowEngine`]; if the pass faults, the engine restores the module
+//! to its pre-pass state. One engine lives for one pipeline run.
 //!
-//! Two engines implement this contract:
+//! A `Mutation::Funcs(keys)` scope clones only the declared functions,
+//! and clones made for an earlier pass are *reused* while those
+//! functions stay unmutated (commit keeps entries whose function did not
+//! change); a `Mutation::All` scope falls back to a full module clone.
+//! The pool holds exactly each function's pre-pass state, so a panic
+//! contained to one function of a sharded pass is rolled back by
+//! restoring just that function ([`CowEngine::restore_funcs`]).
 //!
-//! * [`FullCloneEngine`] — the legacy strategy: clone the whole module,
-//!   every pass, no matter what it touches;
-//! * [`CowEngine`] — per-function copy-on-write for [`ShardedIr`]
-//!   modules: a `Mutation::Funcs(keys)` scope clones only the declared
-//!   functions, and clones made for an earlier pass are *reused* while
-//!   those functions stay unmutated (commit keeps entries whose function
-//!   did not change), falling back to a full module clone only for
-//!   `Mutation::All` scopes.
-//!
-//! Both engines meter their work ([`SnapshotStats`] cumulative,
+//! The engine meters its work ([`SnapshotStats`] cumulative,
 //! [`SnapshotCost`] per capture) in "units" — the implementor's
 //! `size_hint`/`func_size_hint`, i.e. instructions cloned — so the
-//! compile-time profiler can show exactly how much cloning each policy
+//! compile-time profiler can show exactly how much cloning recovery
 //! paid for.
 
 use crate::parallel::ShardedIr;
 use crate::pass::Mutation;
-use crate::IrUnit;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -42,8 +39,21 @@ pub struct SnapshotStats {
     pub funcs_reused: usize,
     /// Size units (instructions) actually cloned across all captures.
     pub units_cloned: usize,
-    /// Rollbacks performed.
+    /// Rollbacks performed (whole passes, and single functions of a
+    /// sharded pass).
     pub restores: usize,
+}
+
+impl SnapshotStats {
+    /// Accumulates another counter set into this one.
+    pub fn merge(&mut self, other: SnapshotStats) {
+        self.captures += other.captures;
+        self.full_clones += other.full_clones;
+        self.funcs_cloned += other.funcs_cloned;
+        self.funcs_reused += other.funcs_reused;
+        self.units_cloned += other.units_cloned;
+        self.restores += other.restores;
+    }
 }
 
 /// What one capture cost.
@@ -61,203 +71,118 @@ pub struct SnapshotCost {
     pub time: Duration,
 }
 
-/// Strategy for capturing and restoring pre-pass module state.
+/// Per-function copy-on-write snapshots of a [`ShardedIr`] module.
 ///
-/// Call order per pass invocation: `capture` before the pass, then
-/// exactly one of `restore` (the pass faulted) or `commit` (it
-/// succeeded, with its actual mutation declaration).
-pub trait SnapshotEngine<M: IrUnit> {
-    /// Captures whatever `scope` says the upcoming pass may mutate.
-    fn capture(&mut self, m: &M, scope: &Mutation<M>);
-
-    /// Rolls the module back to the captured state.
-    fn restore(&mut self, m: &mut M);
-
-    /// Reconciles the engine with a successful pass: state captured for
-    /// functions the pass actually mutated is now stale and dropped;
-    /// state for untouched functions stays reusable.
-    fn commit(&mut self, mutated: &Mutation<M>, changed: bool);
-
-    /// Cost of the most recent capture.
-    fn last_cost(&self) -> SnapshotCost;
-
-    /// Cumulative counters.
-    fn stats(&self) -> SnapshotStats;
-}
-
-/// The legacy engine: clone the whole module on every capture.
-#[derive(Debug, Default)]
-pub struct FullCloneEngine<M> {
-    snapshot: Option<M>,
-    last: SnapshotCost,
-    stats: SnapshotStats,
-}
-
-impl<M> FullCloneEngine<M> {
-    /// A fresh engine holding no snapshot.
-    pub fn new() -> Self {
-        FullCloneEngine {
-            snapshot: None,
-            last: SnapshotCost::default(),
-            stats: SnapshotStats::default(),
-        }
-    }
-}
-
-impl<M: IrUnit + Clone> SnapshotEngine<M> for FullCloneEngine<M> {
-    fn capture(&mut self, m: &M, _scope: &Mutation<M>) {
-        let t0 = Instant::now();
-        let units = m.size_hint();
-        self.snapshot = Some(m.clone());
-        self.last = SnapshotCost {
-            full: true,
-            funcs_cloned: 0,
-            funcs_reused: 0,
-            units_cloned: units,
-            time: t0.elapsed(),
-        };
-        self.stats.captures += 1;
-        self.stats.full_clones += 1;
-        self.stats.units_cloned += units;
-    }
-
-    fn restore(&mut self, m: &mut M) {
-        if let Some(snap) = self.snapshot.take() {
-            *m = snap;
-            self.stats.restores += 1;
-        }
-    }
-
-    fn commit(&mut self, _mutated: &Mutation<M>, _changed: bool) {
-        self.snapshot = None;
-    }
-
-    fn last_cost(&self) -> SnapshotCost {
-        self.last
-    }
-
-    fn stats(&self) -> SnapshotStats {
-        self.stats
-    }
-}
-
-/// Per-function copy-on-write engine for [`ShardedIr`] modules.
-///
-/// Keeps a pool of pre-pass function clones keyed by function id. A
-/// `Mutation::Funcs(keys)` capture clones only pool-missing keys; commit
-/// evicts exactly the functions the pass reported mutated, so clean
-/// functions carry their clone across passes for free. An `All` scope
-/// (the pass may touch the module shell) falls back to a full module
-/// clone, preserving the legacy guarantee.
+/// Call order per pass invocation: [`capture`](CowEngine::capture)
+/// before the pass, then exactly one of [`restore`](CowEngine::restore)
+/// (the pass faulted) or [`commit`](CowEngine::commit) (it succeeded,
+/// with its actual mutation declaration).
 #[derive(Debug)]
 pub struct CowEngine<M: ShardedIr> {
+    /// Pre-pass function clones, valid while the function is unmutated.
     pool: HashMap<M::FuncKey, M::Func>,
     /// Keys of the most recent `Funcs` capture (the restore scope).
     scope: Vec<M::FuncKey>,
-    /// Whole-module fallback snapshot, when the last scope was not
-    /// function-shaped.
+    /// Whole-module snapshot, when the last scope was `All`.
     full: Option<M>,
-    last: SnapshotCost,
     stats: SnapshotStats,
 }
 
 impl<M: ShardedIr> Default for CowEngine<M> {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M: ShardedIr> CowEngine<M> {
-    /// A fresh engine with an empty clone pool.
-    pub fn new() -> Self {
         CowEngine {
             pool: HashMap::new(),
             scope: Vec::new(),
             full: None,
-            last: SnapshotCost::default(),
             stats: SnapshotStats::default(),
         }
     }
 }
 
-impl<M: ShardedIr + Clone> SnapshotEngine<M> for CowEngine<M> {
-    fn capture(&mut self, m: &M, scope: &Mutation<M>) {
+impl<M: ShardedIr + Clone> CowEngine<M> {
+    /// A fresh engine with an empty clone pool.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Captures whatever `scope` says the upcoming pass may mutate.
+    pub fn capture(&mut self, m: &M, scope: &Mutation<M>) -> SnapshotCost {
         let t0 = Instant::now();
         self.stats.captures += 1;
+        self.scope.clear();
+        self.full = None;
+        let mut cost = SnapshotCost::default();
         match scope {
-            Mutation::None => {
-                // The pass promises to mutate nothing: nothing to hold.
-                self.scope.clear();
-                self.full = None;
-                self.last = SnapshotCost {
-                    time: t0.elapsed(),
-                    ..SnapshotCost::default()
-                };
-            }
+            // The pass promises to mutate nothing: nothing to hold.
+            Mutation::None => {}
             Mutation::Funcs(keys) => {
-                self.full = None;
                 self.scope = keys.clone();
-                let mut cloned = 0;
-                let mut reused = 0;
-                let mut units = 0;
                 for &k in keys {
                     match self.pool.entry(k) {
-                        Entry::Occupied(_) => reused += 1,
+                        Entry::Occupied(_) => cost.funcs_reused += 1,
                         Entry::Vacant(slot) => {
-                            units += m.func_size_hint(k);
+                            cost.units_cloned += m.func_size_hint(k);
                             slot.insert(m.clone_func(k));
-                            cloned += 1;
+                            cost.funcs_cloned += 1;
                         }
                     }
                 }
-                self.stats.funcs_cloned += cloned;
-                self.stats.funcs_reused += reused;
-                self.stats.units_cloned += units;
-                self.last = SnapshotCost {
-                    full: false,
-                    funcs_cloned: cloned,
-                    funcs_reused: reused,
-                    units_cloned: units,
-                    time: t0.elapsed(),
-                };
+                self.stats.funcs_cloned += cost.funcs_cloned;
+                self.stats.funcs_reused += cost.funcs_reused;
             }
             Mutation::All => {
                 // The pass may restructure the module shell: only a full
                 // clone is safe, and the per-function pool is void.
-                self.scope.clear();
                 self.pool.clear();
-                let units = m.size_hint();
+                cost.full = true;
+                cost.units_cloned = m.size_hint();
                 self.full = Some(m.clone());
                 self.stats.full_clones += 1;
-                self.stats.units_cloned += units;
-                self.last = SnapshotCost {
-                    full: true,
-                    funcs_cloned: 0,
-                    funcs_reused: 0,
-                    units_cloned: units,
-                    time: t0.elapsed(),
-                };
             }
         }
+        self.stats.units_cloned += cost.units_cloned;
+        cost.time = t0.elapsed();
+        cost
     }
 
-    fn restore(&mut self, m: &mut M) {
+    /// Rolls the module back to the captured state.
+    pub fn restore(&mut self, m: &mut M) {
         self.stats.restores += 1;
-        if let Some(snap) = self.full.take() {
-            *m = snap;
-            self.pool.clear();
-            return;
-        }
-        // The faulting pass promised to stay within `scope`: restoring
-        // those functions from the pool reconstructs the pre-pass module.
-        for k in std::mem::take(&mut self.scope) {
-            if let Some(f) = self.pool.get(&k) {
-                m.restore_func(k, f.clone());
+        match self.full.take() {
+            Some(snap) => {
+                *m = snap;
+                self.pool.clear();
+            }
+            // The faulting pass promised to stay within `scope`: restoring
+            // those functions from the pool reconstructs the pre-pass module.
+            None => {
+                for k in std::mem::take(&mut self.scope) {
+                    self.put_back(m, k);
+                }
             }
         }
     }
 
-    fn commit(&mut self, mutated: &Mutation<M>, changed: bool) {
+    /// Rolls back only `keys` — functions of the current `Funcs` capture
+    /// whose sharded work panicked — leaving the rest of the pass's work
+    /// in place. Counts one restore per function.
+    pub fn restore_funcs(&mut self, m: &mut M, keys: &[M::FuncKey]) {
+        self.stats.restores += keys.len();
+        for &k in keys {
+            self.put_back(m, k);
+        }
+    }
+
+    fn put_back(&self, m: &mut M, k: M::FuncKey) {
+        if let Some(f) = self.pool.get(&k) {
+            m.restore_func(k, f.clone());
+        }
+    }
+
+    /// Reconciles the engine with a successful pass: clones of the
+    /// functions it actually mutated are now stale and dropped; clones of
+    /// untouched functions stay reusable.
+    pub fn commit(&mut self, mutated: &Mutation<M>, changed: bool) {
         self.full = None;
         self.scope.clear();
         if !changed {
@@ -270,17 +195,12 @@ impl<M: ShardedIr + Clone> SnapshotEngine<M> for CowEngine<M> {
                     self.pool.remove(k);
                 }
             }
-            Mutation::All => {
-                self.pool.clear();
-            }
+            Mutation::All => self.pool.clear(),
         }
     }
 
-    fn last_cost(&self) -> SnapshotCost {
-        self.last
-    }
-
-    fn stats(&self) -> SnapshotStats {
+    /// Cumulative counters.
+    pub fn stats(&self) -> SnapshotStats {
         self.stats
     }
 }
@@ -296,8 +216,7 @@ mod tests {
             vals: vec![10, 20, 30, 40],
         };
         let mut eng = CowEngine::<Toy>::new();
-        eng.capture(&m, &Mutation::Funcs(vec![1, 3]));
-        let c = eng.last_cost();
+        let c = eng.capture(&m, &Mutation::Funcs(vec![1, 3]));
         assert!(!c.full);
         assert_eq!(c.funcs_cloned, 2);
         assert_eq!(c.units_cloned, 2);
@@ -314,8 +233,7 @@ mod tests {
         m.vals[1] = 99;
         eng.commit(&Mutation::Funcs(vec![1]), true);
         // Next pass over the same scope: only function 1 needs recloning.
-        eng.capture(&m, &Mutation::Funcs(vec![0, 1, 2]));
-        let c = eng.last_cost();
+        let c = eng.capture(&m, &Mutation::Funcs(vec![0, 1, 2]));
         assert_eq!(c.funcs_cloned, 1);
         assert_eq!(c.funcs_reused, 2);
         assert_eq!(eng.stats().funcs_cloned, 4);
@@ -338,28 +256,27 @@ mod tests {
     }
 
     #[test]
-    fn cow_falls_back_to_full_clone_for_all_scope() {
-        let mut m = Toy { vals: vec![5, 6] };
+    fn cow_restore_funcs_rolls_back_only_the_named_functions() {
+        let mut m = Toy {
+            vals: vec![1, 2, 3],
+        };
         let mut eng = CowEngine::<Toy>::new();
-        eng.capture(&m, &Mutation::All);
-        assert!(eng.last_cost().full);
-        assert_eq!(eng.last_cost().units_cloned, 2);
-        m.vals.clear(); // even structural damage rolls back
-        eng.restore(&mut m);
-        assert_eq!(m.vals, vec![5, 6]);
+        eng.capture(&m, &Mutation::Funcs(vec![0, 1, 2]));
+        m.vals = vec![10, 20, 30];
+        eng.restore_funcs(&mut m, &[1]);
+        assert_eq!(m.vals, vec![10, 2, 30]);
+        assert_eq!(eng.stats().restores, 1);
     }
 
     #[test]
-    fn full_clone_engine_always_pays_for_the_module() {
-        let mut m = Toy {
-            vals: vec![7, 8, 9],
-        };
-        let mut eng = FullCloneEngine::<Toy>::new();
-        eng.capture(&m, &Mutation::Funcs(vec![0]));
-        assert!(eng.last_cost().full);
-        assert_eq!(eng.last_cost().units_cloned, 3);
-        m.vals[2] = 0;
+    fn cow_falls_back_to_full_clone_for_all_scope() {
+        let mut m = Toy { vals: vec![5, 6] };
+        let mut eng = CowEngine::<Toy>::new();
+        let c = eng.capture(&m, &Mutation::All);
+        assert!(c.full);
+        assert_eq!(c.units_cloned, 2);
+        m.vals.clear(); // even structural damage rolls back
         eng.restore(&mut m);
-        assert_eq!(m.vals, vec![7, 8, 9]);
+        assert_eq!(m.vals, vec![5, 6]);
     }
 }

@@ -8,21 +8,25 @@
 //! bridging body `FnOnce(&mut A) -> Result<(B, stats), String>` with
 //!
 //! * panic isolation (`catch_unwind`) and input rollback under the
-//!   recovering [`FaultPolicy`] variants, via a pre-stage full clone of
-//!   the input (the input is the last verified IR: a faulted stage must
-//!   leave it exactly as it found it);
+//!   recovering [`FaultPolicy`] variants, via a whole-module (`All`)
+//!   capture of the input in the same [`CowEngine`] passes use (the input
+//!   is the last verified IR: a faulted stage must leave it exactly as it
+//!   found it);
 //! * output verification (e.g. the target IR's structural verifier) and
 //!   an optional *cross-IR check* comparing input and output (e.g.
 //!   interpreter agreement on probe inputs) — both classified as
-//!   [`FaultCause::VerifyFailed`];
+//!   [`FaultCause::VerifyFailed`](crate::FaultCause::VerifyFailed);
 //! * per-stage time budgets and [`FaultPlan`] injection (`panic@lower`,
 //!   `verify@lower`, `budget@lower`);
-//! * a [`PassRun`] (and, on fault, a [`Degradation`]) appended to the
+//! * a [`PassRun`](crate::PassRun) (and, on fault, a
+//!   [`Degradation`](crate::Degradation)) appended to the
 //!   caller's [`RunReport`], so lowering shows up in the same profile
 //!   table as every other pass.
 //!
-//! Fault classification mirrors `PassManager::run_one`: panic, then body
-//! error, then output verification, then cross-IR check, then budgets.
+//! The stage runs inside the same fault envelope as every pass
+//! ([`crate::recover`]), so its fault classification is every pass's:
+//! panic, then body error, then output verification, then cross-IR
+//! check, then budgets.
 //! Under [`FaultPolicy::Abort`] panics propagate and other faults map to
 //! [`RunError`]; under `SkipPass`/`StopPipeline` the input is restored
 //! and the stage reports [`StageOutcome::Degraded`]. Either recovering
@@ -31,14 +35,13 @@
 //! output, so the pipeline ends at the stage with the *input* IR as the
 //! final result.
 
-use crate::budget::{BudgetViolation, Budgets};
-use crate::fault::{FaultPlan, InjectKind};
-use crate::recover::{Degradation, FaultCause, FaultPolicy, RecoveryAction};
-use crate::runner::{PassRun, RunError, RunReport};
-use crate::snapshot::SnapshotCost;
-use crate::IrUnit;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use crate::budget::Budgets;
+use crate::fault::FaultPlan;
+use crate::parallel::ShardedIr;
+use crate::pass::{Mutation, PassError};
+use crate::recover::{Contained, Envelope, FaultPolicy, RecoveryAction};
+use crate::runner::{RunError, RunReport};
+use crate::snapshot::CowEngine;
 
 /// What a [`LowerStage`] run produced.
 #[derive(Debug)]
@@ -47,7 +50,8 @@ pub enum StageOutcome<B> {
     Lowered(B),
     /// A recovering [`FaultPolicy`] contained a fault: the input was
     /// rolled back to its pre-stage state and no lowered unit exists.
-    /// The [`Degradation`] is in the caller's [`RunReport`].
+    /// The [`Degradation`](crate::Degradation) is in the caller's
+    /// [`RunReport`].
     Degraded {
         /// The [`RecoveryAction`] taken (`RolledBack` for `SkipPass`,
         /// `Stopped` for `StopPipeline`).
@@ -67,13 +71,10 @@ impl<B> StageOutcome<B> {
 
 type OutputVerifier<B> = Box<dyn Fn(&B) -> Result<(), String>>;
 type CrossCheck<A, B> = Box<dyn Fn(&A, &B) -> Result<(), String>>;
-/// Outcome of running a stage body: outer `Err` is a caught panic
-/// message, inner `Err` a stage failure, `Ok` the output plus stats.
-type BodyResult<B> = Result<Result<(B, Vec<(&'static str, i64)>), String>, String>;
 
 /// A cross-IR bridge stage (see the module docs).
 ///
-/// `A` is the source IR unit (cloned for rollback under recovering
+/// `A` is the source IR unit (snapshotted for rollback under recovering
 /// policies), `B` the target.
 pub struct LowerStage<A, B> {
     name: String,
@@ -99,13 +100,13 @@ impl<A, B> std::fmt::Debug for LowerStage<A, B> {
     }
 }
 
-impl<A: IrUnit + Clone, B: IrUnit> Default for LowerStage<A, B> {
+impl<A, B> Default for LowerStage<A, B> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<A: IrUnit + Clone, B: IrUnit> LowerStage<A, B> {
+impl<A, B> LowerStage<A, B> {
     /// A stage named `lower` with the [`FaultPolicy::Abort`] policy, no
     /// budgets, and no verifiers.
     pub fn new() -> Self {
@@ -175,8 +176,28 @@ impl<A: IrUnit + Clone, B: IrUnit> LowerStage<A, B> {
         self
     }
 
-    /// Runs the stage body over `input`, appending one [`PassRun`] (and,
-    /// on a contained fault, one [`Degradation`]) to `report`.
+    /// Whether the stage's output passes the output verifier and then
+    /// the cross-IR check (`None` = accepted).
+    fn verdict(&self, input: &A, out: &B) -> Option<String> {
+        if !self.verify_output {
+            return None;
+        }
+        self.output_verifier
+            .as_ref()
+            .and_then(|v| v(out).err())
+            .or_else(|| {
+                self.cross_check
+                    .as_ref()
+                    .and_then(|c| c(input, out).err())
+                    .map(|msg| format!("cross-IR check failed: {msg}"))
+            })
+    }
+}
+
+impl<A: ShardedIr + Clone, B> LowerStage<A, B> {
+    /// Runs the stage body over `input`, appending one
+    /// [`PassRun`](crate::PassRun) (and, on a contained fault, one
+    /// [`Degradation`](crate::Degradation)) to `report`.
     ///
     /// `invocation` is the stage's invocation index in the surrounding
     /// pipeline (used for `#N` fault-injection targets and recorded on
@@ -192,193 +213,59 @@ impl<A: IrUnit + Clone, B: IrUnit> LowerStage<A, B> {
     where
         F: FnOnce(&mut A) -> Result<(B, Vec<(&'static str, i64)>), String>,
     {
-        let recovering = self.policy != FaultPolicy::Abort;
-        let injected = self
-            .injection
-            .as_ref()
-            .filter(|plan| plan.fires(invocation, &self.name))
-            .map(|plan| plan.kind);
-
-        // Snapshot the input under recovering policies: the body may
-        // mutate it (normalization) before faulting, and a faulted stage
-        // must leave the input exactly as it found it.
-        let mut snapshot_cost = None;
-        let snapshot = if recovering {
-            let t0 = Instant::now();
-            let units = input.size_hint();
-            let snap = input.clone();
-            let cost = SnapshotCost {
-                full: true,
-                funcs_cloned: 0,
-                funcs_reused: 0,
-                units_cloned: units,
-                time: t0.elapsed(),
-            };
-            report.snapshots.captures += 1;
-            report.snapshots.full_clones += 1;
-            report.snapshots.units_cloned += units;
-            snapshot_cost = Some(cost);
-            Some(snap)
-        } else {
-            None
-        };
-
-        // --- run the stage body ---------------------------------------
-        let t0 = Instant::now();
-        let name = self.name.clone();
-        let exec = |input: &mut A| {
-            if injected == Some(InjectKind::Panic) {
-                panic!("fault injection: panic in stage `{name}` at invocation {invocation}");
-            }
-            body(input)
-        };
-        let result: BodyResult<B> = if recovering {
-            catch_unwind(AssertUnwindSafe(|| exec(input))).map_err(|payload| {
-                payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "panic with non-string payload".to_string())
-            })
-        } else {
-            // Abort: let panics propagate with their original backtrace.
-            Ok(exec(input))
-        };
-        let time = t0.elapsed();
-
-        // --- classify the outcome into (success, fault) ---------------
-        let mut fault: Option<FaultCause> = None;
-        let mut success: Option<(B, Vec<(&'static str, i64)>)> = None;
-        match result {
-            Err(panic_msg) => fault = Some(FaultCause::Panic(panic_msg)),
-            Ok(Err(message)) => fault = Some(FaultCause::PassFailed(message)),
-            Ok(Ok((out, stats))) => {
-                let verify_msg = if injected == Some(InjectKind::VerifyFail) {
-                    Some(format!(
-                        "fault injection: forced verifier failure after stage `{}`",
-                        self.name
-                    ))
-                } else if self.verify_output {
-                    self.output_verifier
-                        .as_ref()
-                        .and_then(|v| v(&out).err())
-                        .or_else(|| {
-                            self.cross_check
-                                .as_ref()
-                                .and_then(|c| c(input, &out).err())
-                                .map(|msg| format!("cross-IR check failed: {msg}"))
-                        })
-                } else {
-                    None
-                };
-                if let Some(message) = verify_msg {
-                    fault = Some(FaultCause::VerifyFailed(message));
-                } else if let Some(v) = self.budget_violation(injected, time) {
-                    fault = Some(FaultCause::Budget(v));
-                } else {
-                    success = Some((out, stats));
-                }
-            }
-        }
-
-        // --- fault handling -------------------------------------------
-        if let Some(cause) = fault {
-            if !recovering {
-                return Err(match cause {
-                    FaultCause::Panic(message) => {
-                        unreachable!("panics are not caught under Abort: {message}")
-                    }
-                    FaultCause::PassFailed(message) => RunError::PassFailed {
-                        pass: self.name.clone(),
-                        error: crate::pass::PassError::msg(message),
-                    },
-                    FaultCause::VerifyFailed(message) => RunError::VerifyFailed {
-                        pass: self.name.clone(),
-                        message,
-                    },
-                    FaultCause::Budget(violation) => RunError::BudgetExceeded {
-                        pass: self.name.clone(),
-                        violation,
-                    },
-                });
-            }
-
-            // Roll the input back to its pre-stage state.
-            if let Some(snap) = snapshot {
-                *input = snap;
-                report.snapshots.restores += 1;
-            }
-            let action = match self.policy {
-                FaultPolicy::SkipPass => RecoveryAction::RolledBack,
-                FaultPolicy::StopPipeline => RecoveryAction::Stopped,
-                FaultPolicy::Abort => unreachable!("handled above"),
-            };
-            report.passes.push(PassRun {
-                name: self.name.clone(),
-                time,
-                changed: false,
-                stats: Vec::new(),
-                fixpoint_iteration: None,
-                annotations: vec![("degraded".into(), cause.to_string())],
-                snapshot: snapshot_cost,
-                profile: None,
-            });
-            report.degradations.push(Degradation {
-                pass: self.name.clone(),
-                invocation,
-                cause,
-                fixpoint_iteration: None,
-                func_index: None,
-                func: None,
-                action,
-            });
-            // Nothing downstream can run without the stage's output.
-            report.stopped_early = true;
-            return Ok(StageOutcome::Degraded { action });
-        }
-
-        // --- success ---------------------------------------------------
-        let (out, stats) = success.expect("no fault implies a successful outcome");
-        report.passes.push(PassRun {
-            name: self.name.clone(),
-            time,
-            changed: true,
-            stats,
+        let env = Envelope {
+            name: &self.name,
+            invocation,
             fixpoint_iteration: None,
-            annotations: Vec::new(),
-            snapshot: snapshot_cost,
-            profile: None,
-        });
-        Ok(StageOutcome::Lowered(out))
-    }
-
-    fn budget_violation(
-        &self,
-        injected: Option<InjectKind>,
-        time: Duration,
-    ) -> Option<BudgetViolation> {
-        if injected == Some(InjectKind::BudgetBlowup) {
-            return Some(BudgetViolation::PassTime {
-                limit_ms: 0,
-                actual_ms: (time.as_millis() as u64).max(1),
-            });
-        }
-        if let Some(limit_ms) = self.budgets.max_pass_millis {
-            if time > Duration::from_millis(limit_ms) {
-                return Some(BudgetViolation::PassTime {
-                    limit_ms,
-                    actual_ms: (time.as_millis() as u64).max(1),
-                });
+            policy: self.policy,
+            injected: self
+                .injection
+                .as_ref()
+                .filter(|plan| plan.fires(invocation, &self.name))
+                .map(|plan| plan.kind),
+            // The stage has no functions to target: any injected panic
+            // fires ahead of the body.
+            inject_in_func: false,
+            max_ms: self.budgets.max_pass_millis,
+            // Growth is not comparable across IRs.
+            max_growth: None,
+        };
+        // The body may mutate the input (normalization) before faulting,
+        // and a faulted stage must leave the input exactly as it found it.
+        let mut engine = CowEngine::new();
+        let contained = env.run(
+            input,
+            &mut (),
+            &mut engine,
+            Mutation::All,
+            report,
+            |input, _| body(input).map_err(PassError::msg),
+            |input, _, _, (out, _)| self.verdict(input, out),
+        );
+        report.snapshots.merge(engine.stats());
+        match contained? {
+            Contained::Done((out, stats), mut run) => {
+                run.changed = true;
+                run.stats = stats;
+                report.passes.push(*run);
+                Ok(StageOutcome::Lowered(out))
+            }
+            Contained::Degraded(action) => {
+                // Nothing downstream can run without the stage's output.
+                report.stopped_early = true;
+                Ok(StageOutcome::Degraded { action })
             }
         }
-        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::BudgetViolation;
+    use crate::recover::FaultCause;
     use crate::toy::Toy;
+    use std::time::Duration;
 
     type DoubleResult = Result<(Toy, Vec<(&'static str, i64)>), String>;
 

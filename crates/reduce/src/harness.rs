@@ -597,7 +597,6 @@ fn run_with_cache(
                 inject: cfg.inject.clone(),
                 threads: 1,
                 cross_check: true,
-                full_clone_snapshots: false,
                 cache: Some(cache.clone()),
                 adaptive: cfg.adaptive,
             };
@@ -861,7 +860,6 @@ fn run_lowered_case(
         inject: cfg.inject.clone(),
         threads: 1,
         cross_check: true,
-        full_clone_snapshots: false,
         cache: None,
         adaptive: cfg.adaptive,
     };

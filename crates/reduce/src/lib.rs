@@ -49,7 +49,6 @@ pub mod genprog;
 pub mod genspec;
 pub mod harness;
 pub mod repro;
-pub mod rng;
 pub mod service;
 
 pub use cli::{fuzz_cli_case, parse_run_args, CliCrash, RunArgs};
@@ -62,8 +61,8 @@ pub use genspec::{random_lir_spec, random_spec};
 pub use harness::{
     cross_check_totals, reduce_case, reduce_case_prog, run_case, run_case_prog, CaseConfig, Outcome,
 };
+pub use passman::rng::{self, SplitMix64};
 pub use repro::Repro;
-pub use rng::SplitMix64;
 pub use service::fuzz_service_case;
 
 /// Best-effort text of a caught panic payload.

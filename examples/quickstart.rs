@@ -49,7 +49,7 @@ fn main() {
     let mut optimized = module.clone();
     let report = compile(&mut optimized, OptLevel::O3(OptConfig::all())).unwrap();
     println!("––– pipeline –––");
-    for (pass, t) in &report.pass_times {
+    for (pass, t) in report.run.pass_times() {
         println!("{pass:>16}: {:?}", t);
     }
     println!(

@@ -253,8 +253,8 @@ fn unified_report_subsumes_the_legacy_shape() {
     let mut m = loopy();
     let report = compile_spec(&mut m, &default_spec(OptLevel::O3(OptConfig::all()))).unwrap();
 
-    // Legacy fields are still populated.
-    assert!(report.pass_times.iter().any(|(n, _)| n == "dee"));
+    // The legacy per-pass times derive from the run.
+    assert!(report.run.pass_times().iter().any(|(n, _)| n == "dee"));
     assert!(report.ssa_census.ssa_variables > 0);
     assert_eq!(report.destruct_copies, 0);
 

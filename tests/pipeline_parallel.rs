@@ -7,6 +7,7 @@
 
 use memoir::ir::printer::{print_function, print_module};
 use memoir::ir::Module;
+use memoir::lir;
 use memoir::opt::{compile_spec_with, default_spec, OptConfig, OptLevel};
 use memoir::passman::{
     FaultCause, FaultPlan, FaultPolicy, InjectKind, PipelineSpec, RecoveryAction, RunReport,
@@ -176,6 +177,74 @@ fn shard_fault_rolls_back_only_the_faulting_function() {
                 assert_eq!(
                     got[i], clean_funcs[i],
                     "func {i} must match the clean run (victim {victim})"
+                );
+            }
+        }
+    }
+}
+
+/// The low-level-IR counterpart, restoring from a *reused* snapshot:
+/// `mem2reg` captures every function of a lowered module and changes
+/// none, so `gvn`'s capture reuses every pooled clone. A panic injected
+/// into one function of `gvn`, under `SkipPass`, rolls back exactly that
+/// function from its reused clone, at 1 and 4 threads.
+#[test]
+fn lir_shard_fault_restores_the_function_from_a_reused_snapshot() {
+    let m0 = memoir::lower::lower_module(&memoir::workloads::synth_ir::build_synth_ir(6, 7))
+        .expect("synthetic module lowers");
+    let funcs = |m: &lir::Module| -> Vec<String> {
+        m.funcs
+            .iter()
+            .map(|f| lir::printer::print_function(f, m))
+            .collect()
+    };
+    let spec: PipelineSpec = "mem2reg,gvn".parse().unwrap();
+    let pre_funcs = funcs(&m0);
+    let mut clean = m0.clone();
+    lir::passes::pass_manager().run(&mut clean, &spec).unwrap();
+    let clean_funcs = funcs(&clean);
+    let n = pre_funcs.len();
+    for i in 0..n {
+        assert_ne!(
+            pre_funcs[i], clean_funcs[i],
+            "test premise: gvn must change function {i}"
+        );
+    }
+
+    for threads in [1usize, 4] {
+        for victim in 0..n {
+            let mut m = m0.clone();
+            let report = lir::passes::pass_manager()
+                .with_threads(threads)
+                .verify_between_passes(true)
+                .on_fault(FaultPolicy::SkipPass)
+                .with_fault_injection(format!("panic@gvn%{victim}").parse().unwrap())
+                .run(&mut m, &spec)
+                .expect("SkipPass never aborts");
+
+            let snap = report.last_run("gvn").and_then(|p| p.snapshot).unwrap();
+            assert_eq!(
+                (snap.funcs_cloned, snap.funcs_reused),
+                (0, n),
+                "test premise: gvn's capture reuses mem2reg's clones"
+            );
+            assert_eq!(report.degradations.len(), 1);
+            let d = &report.degradations[0];
+            assert!(matches!(d.cause, FaultCause::Panic(_)), "{:?}", d.cause);
+            assert_eq!(d.func_index, Some(victim));
+            assert_eq!(d.action, RecoveryAction::RolledBack);
+            assert_eq!(report.snapshots.restores, 1);
+
+            let got = funcs(&m);
+            for i in 0..n {
+                let want = if i == victim {
+                    &pre_funcs[i]
+                } else {
+                    &clean_funcs[i]
+                };
+                assert_eq!(
+                    &got[i], want,
+                    "func {i} (victim {victim}, threads {threads})"
                 );
             }
         }
